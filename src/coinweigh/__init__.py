@@ -30,7 +30,6 @@ from .analysis import (
     AsymptoticConstants,
     Bounds,
     BranchWeights,
-    EXACT_CAP_L,
     NestedTables,
     TTable,
     alpha,
@@ -60,7 +59,6 @@ __all__ = [
     "CoinWeighError",
     "Configuration",
     "ENUMERATION_CAP_L",
-    "EXACT_CAP_L",
     "InternalContractError",
     "InvalidConfigurationError",
     "InvalidSizeError",

@@ -1,17 +1,16 @@
 """Exact expected-cost analysis for both strategies, plus lower bounds.
 
 Everything here is closed-form or recursive arithmetic; no strategy is ever
-executed.  Exact mode works in arbitrary-precision rationals and is the
-default up to l = 12; float mode evaluates the same recursions in binary64
-and is the explicit choice for larger sizes, where only tolerance-based
-checks apply.
+executed.  Results are rationals; the float mode of ``t_ave_proposed`` is
+the binary64 rounding of the exact value.
 
-The halving scheme's average for n = 2**l coins decomposes as a mixture over
-the separation class d of the two unit coins (d = 0 for a weight-2 coin).
-For each class, branch weights (q, p, m) describe how likely the execution
-is to enter its first joint round at each depth; the expected cost then
-combines a triangular table T of joint-round costs with the depth at which
-the joint phase started.  The branch-weight formulas depend on d only through
+The halving scheme's average for n = 2**l coins follows a depth law.  The n
+weight-2 configurations take l weighings each.  The pair configurations
+whose two unit coins first fall into different halves at depth i carry
+total probability 2**(l-i-1)/(n+1) and cost i + 1 + T[l-i-1][l-i-1] on
+average, where T is the triangular table of joint-round costs.  Per
+separation class d of the two unit coins, branch weights (q, p, m) give the
+depth distribution of the first joint round; they depend on d only through
 d_n = min(d, n - d).
 
 The nested strategy's average satisfies a divide-and-conquer recursion in
@@ -22,15 +21,13 @@ midpoint split, giving closed forms at powers of two.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .model import InvalidSizeError, ProblemSize
 
 __all__ = [
-    "EXACT_CAP_L",
     "TTable",
     "BranchWeights",
     "NestedTables",
@@ -48,18 +45,6 @@ __all__ = [
     "asymptotic_constants",
 ]
 
-# Exact averaging sums over ~n/2 separation classes; past l = 12 that is
-# float-mode territory.  Cheap exact ops (tables, per-class values) are not
-# capped.
-EXACT_CAP_L = 12
-
-_HALF = Fraction(1, 2)
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("exact", "float"):
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-
 
 # ---------------------------------------------------------------------------
 # Joint-round cost table
@@ -76,7 +61,6 @@ class TTable:
     """
 
     l: int
-    mode: str
     entries: tuple[tuple[Fraction, ...], ...]
 
     def value(self, i: int, j: int) -> Fraction:
@@ -85,7 +69,7 @@ class TTable:
         return self.entries[i][j]
 
 
-def t_table(l: int, mode: str = "exact") -> TTable:
+def t_table(l: int) -> TTable:
     """Build the joint-round cost table up to index ``l``.
 
     Bases: T[0][0] = 0 (both coins already located), T[0][j] = j (one coin
@@ -105,17 +89,12 @@ def t_table(l: int, mode: str = "exact") -> TTable:
     the closure of the bases under one rule.  Filled by increasing second
     index, so every dependency, direct or mirrored, is already present.
     """
-    _check_mode(mode)
     if not isinstance(l, int) or l < 0:
         raise InvalidSizeError(f"table size must be an integer >= 0, got {l!r}")
 
-    if mode == "exact":
-        half = _HALF
-        quarter = Fraction(1, 4)
-        one = Fraction(1)
-    else:
-        half, quarter, one = 0.5, 0.25, 1.0
-
+    half = Fraction(1, 2)
+    quarter = Fraction(1, 4)
+    one = Fraction(1)
     t = [[None] * (l + 1) for _ in range(l + 1)]
     for k in range(l + 1):
         for i in range(k + 1):
@@ -129,7 +108,7 @@ def t_table(l: int, mode: str = "exact") -> TTable:
                 v = 3 * quarter * near + quarter * far + one + half
             t[i][k] = v
             t[k][i] = v
-    return TTable(l=l, mode=mode, entries=tuple(tuple(row) for row in t))
+    return TTable(l=l, entries=tuple(tuple(row) for row in t))
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +180,6 @@ def branch_weights(l: int, delta: int) -> BranchWeights:
     return BranchWeights(l=l, delta=delta, delta_n=dn, q=q, p=p, m=tuple(m))
 
 
-def _t_given_dn(l: int, dn: int, diag: list[Fraction]) -> Fraction:
-    # Exact expected cost for a class with folded separation dn, given the
-    # table diagonal diag[i] = T[i][i].
-    prefix = Fraction(1)
-    total = Fraction(0)
-    for i in range(l):
-        total += _q_exact(l, i, dn) * prefix * (diag[l - i - 1] + i + 1)
-        prefix *= _p_exact(l, i, dn)
-    return total + prefix * l
-
-
 def t_given_delta(l: int, delta: int, table: TTable | None = None) -> Fraction:
     """Exact expected weighings for one separation class (informational).
 
@@ -220,8 +188,8 @@ def t_given_delta(l: int, delta: int, table: TTable | None = None) -> Fraction:
     empirical conditional mean can genuinely differ.
     """
     bw = branch_weights(l, delta)
-    if table is None or table.mode != "exact" or table.l < l:
-        table = t_table(l, mode="exact")
+    if table is None or table.l < l:
+        table = t_table(l)
     total = Fraction(0)
     for i in range(l):
         total += bw.m[i] * (table.value(l - i - 1, l - i - 1) + i + 1)
@@ -232,64 +200,26 @@ def t_given_delta(l: int, delta: int, table: TTable | None = None) -> Fraction:
 def t_ave_proposed(l: int, mode: str = "exact") -> Fraction | float:
     """Average weighings of the halving scheme over all configurations.
 
-    The class weights are P_0 = 2/(n+1) and P_d = 2(n-d)/(n(n+1)) for
-    d >= 1; folding d with n - d collapses the sum to one term per distinct
-    d_n.  Exact mode (l <= 12) returns a Fraction; float mode evaluates the
-    same sum vectorized in binary64 and is intended for l up to about 20.
+    Depth law at n = 2**l: the n weight-2 configurations (probability
+    2/(n+1) together) cost l each, and the pair configurations whose first
+    split of the two unit coins happens at depth i (probability
+    2**(l-i-1)/(n+1) together) cost i + 1 + T[l-i-1][l-i-1] on average, so
+
+        t_ave = (2l + sum_{i<l} 2**(l-i-1) (i + 1 + T[l-i-1][l-i-1])) / (n+1).
+
+    Exact mode returns that Fraction for any l; float mode returns its
+    rounding to the nearest binary64.
     """
-    _check_mode(mode)
-    ProblemSize.from_exponent(l)
-    if mode == "exact":
-        if l > EXACT_CAP_L:
-            raise InvalidSizeError(
-                f"exact averaging is capped at l={EXACT_CAP_L}; use mode='float'"
-            )
-        return _t_ave_exact(l)
-    return _t_ave_float(l)
-
-
-def _t_ave_exact(l: int) -> Fraction:
-    n = 1 << l
-    table = t_table(l, mode="exact")
-    diag = [table.value(i, i) for i in range(l)]
-    # Folded class v = d_n carries total probability 2/(n+1) for v < n/2
-    # (classes d = v and d = n - v, or the n type-I configs for v = 0) and
-    # 1/(n+1) for v = n/2.
-    total = Fraction(0)
-    for v in range(n // 2 + 1):
-        weight = Fraction(1 if v == n // 2 else 2, n + 1)
-        total += weight * _t_given_dn(l, v, diag)
-    return total
-
-
-def _t_ave_float(l: int) -> float:
-    n = 1 << l
-    h = float(1 << (l - 1))
-    table = t_table(l, mode="float")
-    diag = [table.value(i, i) for i in range(l)]
-    v = np.arange(0, (n >> 1) + 1, dtype=np.float64)
-
-    tgd = np.zeros_like(v)
-    prefix = np.ones_like(v)
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    size = ProblemSize.from_exponent(l)
+    table = t_table(l)
+    total = Fraction(2 * l)
     for i in range(l):
-        if i == 0:
-            q = np.where(v < h, v / h, 1.0)
-            p = np.where(v < h, (h - v) / h, 0.0)
-        else:
-            # Enter and continue weights share the threshold v < 2**(l-i-1)
-            # and the denominator h - 2**(i-1) v, which the threshold keeps
-            # strictly positive wherever it is used.
-            cond = v < float(1 << (l - i - 1))
-            scaled = float(1 << (i - 1)) * v
-            den = np.where(cond, h - scaled, 1.0)
-            q = np.where(cond, scaled / den, 1.0)
-            p = np.where(cond, (h - 2.0 * scaled) / den, 0.0)
-        tgd += q * prefix * (diag[l - i - 1] + i + 1)
-        prefix = prefix * p
-    tgd += prefix * float(l)
-
-    total = 2.0 * tgd[0] + 2.0 * float(tgd[1:-1].sum()) + tgd[-1]
-    return total / float(n + 1)
+        k = l - i - 1
+        total += (1 << k) * (i + 1 + table.value(k, k))
+    exact = total / (size.n + 1)
+    return exact if mode == "exact" else float(exact)
 
 
 def t_max(l: int) -> int:
@@ -436,10 +366,16 @@ def lower_bounds(n: int) -> Bounds:
     configuration has two useful outcomes and one of a weight-1-pair has
     three.  Average case: the prior-weighted mix of the two entropy terms,
     (2 log2 n + (n-1) log3 C(n, 2)) / (n+1).  Binary64 throughout, with
-    log3 computed as a ratio of natural logs.
+    log3 computed as a ratio of natural logs, so n + 1 must not exceed the
+    largest binary64 value (just under 2**1024).
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidSizeError(f"need n >= 2, got {n!r}")
+    if n + 1 > sys.float_info.max:
+        raise InvalidSizeError(
+            f"need n + 1 <= {sys.float_info.max!r} for binary64 bounds, "
+            f"got n of {n.bit_length()} bits"
+        )
     log2n = math.log2(n)
     log3pairs = math.log(math.comb(n, 2)) / math.log(3) if n > 2 else 0.0
     worst = max(log2n, log3pairs)

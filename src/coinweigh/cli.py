@@ -67,10 +67,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     l = args.l
     size = ProblemSize.from_exponent(l)
+    # The bounds reject sizes too large for binary64, so they go first.
+    bounds = analysis.lower_bounds(size.n)
     prop_avg = analysis.t_ave_proposed(l, mode=args.mode)
     nested_avg = analysis.nested_closed_forms(l)[1]
     worst = analysis.t_max(l)
-    bounds = analysis.lower_bounds(size.n)
 
     if args.mode == "exact":
         prop_txt = f"{rational_str(prop_avg)} ({float(prop_avg):.6f})"
@@ -186,12 +187,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     l_max = args.l_max
     if l_max < 2:
         raise CoinWeighError(f"--l-max must be >= 2 for a sweep, got {l_max}")
+    # Reject a top size too large for binary64 before any row is built.
+    analysis.lower_bounds(1 << l_max)
 
     rows = []
     fit_points: list[tuple[int, float]] = []
     for l in range(1, l_max + 1):
         n = 1 << l
-        if l <= analysis.EXACT_CAP_L:
+        # Rows that exhaustive runs can certify stay exact rationals.
+        if l <= ENUMERATION_CAP_L:
             prop_avg: Fraction | float = analysis.t_ave_proposed(l)
         else:
             prop_avg = analysis.t_ave_proposed(l, mode="float")

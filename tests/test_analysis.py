@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coinweigh.analysis import (
-    EXACT_CAP_L,
     NestedTables,
     alpha,
     asymptotic_constants,
@@ -29,6 +28,13 @@ from coinweigh.analysis import (
 from coinweigh.model import InvalidSizeError
 
 F = Fraction
+
+
+def t_ave_closed_form(l):
+    """4l/3 - 4/9 - (3l - 4 - 4/n) / (9(n+1)) at n = 2**l."""
+    n = 1 << l
+    return F(4 * l, 3) - F(4, 9) - (3 * l - 4 - F(4, n)) / (9 * (n + 1))
+
 
 # Joint-round costs measured by exhaustively simulating the joint procedure
 # over every placement of the two unit coins in disjoint regions of sizes
@@ -93,14 +99,11 @@ class TestTTable:
         for (i, j), expected in MEASURED_T.items():
             assert table.value(i, j) == expected, (i, j)
 
-    def test_float_mode_tracks_exact(self):
-        exact = t_table(12)
-        approx = t_table(12, mode="float")
-        for i in range(13):
-            for j in range(13):
-                assert approx.value(i, j) == pytest.approx(
-                    float(exact.value(i, j)), rel=1e-12
-                )
+    def test_diagonal_closed_form(self):
+        table = t_table(200)
+        for k in range(201):
+            expected = F(4 * k, 3) + F(2, 9) * (1 - F(1, 4**k))
+            assert table.value(k, k) == expected, k
 
     @given(st.integers(0, 12), st.integers(0, 12))
     def test_symmetric(self, i, j):
@@ -115,8 +118,6 @@ class TestTTable:
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidSizeError):
             t_table(-1)
-        with pytest.raises(ValueError):
-            t_table(3, mode="decimal")
 
 
 class TestBranchWeights:
@@ -184,17 +185,15 @@ class TestTAveProposed:
     def test_equals_measured_average(self, l):
         assert t_ave_proposed(l) == EXHAUSTIVE_AVG[l]
 
-    @pytest.mark.parametrize("l", [1, 2, 6, 10, 12])
+    @pytest.mark.parametrize("l", range(1, 21))
     def test_float_mode_tracks_exact(self, l):
-        assert t_ave_proposed(l, mode="float") == pytest.approx(
-            float(t_ave_proposed(l)), rel=1e-12
-        )
+        value = t_ave_proposed(l, mode="float")
+        assert type(value) is float
+        assert value == float(t_ave_proposed(l))
 
-    def test_exact_capped(self):
-        with pytest.raises(InvalidSizeError):
-            t_ave_proposed(EXACT_CAP_L + 1)
-        # Float mode has no such cap.
-        assert t_ave_proposed(EXACT_CAP_L + 1, mode="float") > 0
+    def test_exact_matches_closed_form(self):
+        for l in range(1, 65):
+            assert t_ave_proposed(l) == t_ave_closed_form(l), l
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
@@ -357,6 +356,11 @@ class TestLowerBounds:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidSizeError):
             lower_bounds(1)
+
+    def test_rejects_n_past_binary64(self):
+        assert lower_bounds(1 << 1023).worst_lb > 0
+        with pytest.raises(InvalidSizeError):
+            lower_bounds(1 << 1024)
 
     @pytest.mark.parametrize("l", range(1, 13))
     def test_analytic_averages_dominate_bounds(self, l):

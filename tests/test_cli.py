@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from coinweigh.analysis import rational_str
 from coinweigh.cli import main
 
 CSV_HEADER = "l,n,prop_avg,prop_max,nested_avg,nested_max,lb_avg,lb_max"
+
+
+def t_ave_closed_form(l):
+    """4l/3 - 4/9 - (3l - 4 - 4/n) / (9(n+1)) at n = 2**l."""
+    n = 1 << l
+    return (
+        Fraction(4 * l, 3)
+        - Fraction(4, 9)
+        - (3 * l - 4 - Fraction(4, n)) / (9 * (n + 1))
+    )
 
 
 def run(capsys, *argv):
@@ -155,10 +167,26 @@ class TestAnalyze:
         ))
         assert value == pytest.approx(1.365 * 20 - 0.5, abs=0.3)
 
-    def test_exact_above_cap_usage_error(self, capsys):
-        code, _, err = run(capsys, "analyze", "--l", "13", "--mode", "exact")
+    def test_exact_above_enumeration_cap(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--l", "13", "--mode", "exact")
+        assert code == 0
+        expected = t_ave_closed_form(13)
+        assert (
+            f"prop_avg {rational_str(expected)} ({float(expected):.6f})"
+            in out.splitlines()
+        )
+
+    def test_l64_float(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--l", "64", "--mode", "float")
+        assert code == 0
+        expected = t_ave_closed_form(64)
+        assert f"prop_avg {float(expected):.6f}" in out.splitlines()
+
+    def test_size_past_binary64_usage_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "--l", "1024")
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "analyze", "--l", "2", "--json")
@@ -244,6 +272,15 @@ class TestSweep:
         )
         assert code == 2
         assert "error" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_l_max_past_binary64_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "sweep", "--l-max", "1024", "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
         assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_path_leaves_no_file(self, capsys, tmp_path):
