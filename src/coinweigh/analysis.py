@@ -9,13 +9,15 @@ weight-2 configurations take l weighings each.  The pair configurations
 whose two unit coins first fall into different halves at depth i carry
 total probability 2**(l-i-1)/(n+1) and cost i + 1 + T[l-i-1][l-i-1] on
 average, where T is the triangular table of joint-round costs.  Per
-separation class d of the two unit coins, branch weights (q, p, m) give the
-depth distribution of the first joint round; they depend on d only through
-d_n = min(d, n - d).
+separation class d of the two unit coins, the branch weights m give the
+depth distribution of the first joint round.  They depend on d only through
+d_n = min(d, n - d) and are linear in d_n up to the first depth whose half
+no longer fits the class.
 
 The nested strategy's average satisfies a divide-and-conquer recursion in
-hypergeometric split probabilities alpha; its optimum is attained by the
-midpoint split, giving closed forms at powers of two.
+hypergeometric split probabilities alpha, each a ratio of falling powers;
+its optimum is attained by the midpoint split, giving closed forms at powers
+of two.
 """
 
 from __future__ import annotations
@@ -122,45 +124,17 @@ class BranchWeights:
 
     ``m[i]`` (0 <= i < l) is the probability that the halving scheme enters
     its first joint round at depth i, conditioned on the class; ``m[l]`` is
-    the probability it never does (pure bisection).  ``q`` and ``p`` are the
-    conditional enter/continue weights the m's are built from.  The m's lie
-    in [0, 1] and sum to 1.
+    the probability it never does (pure bisection).  With h = n/2 and
+    d_n = ``delta_n``, m[0] = d_n/h and m[i] = 2**(i-1) d_n/h while
+    d_n < 2**(l-i-1).  The first depth that fails this test, or depth l if
+    none does, takes the remaining mass and every later entry is 0, so the
+    m's lie in [0, 1] and sum to 1.
     """
 
     l: int
     delta: int
     delta_n: int
-    q: tuple[Fraction, ...]
-    p: tuple[Fraction, ...]
     m: tuple[Fraction, ...]
-
-
-def _folded(n: int, delta: int) -> int:
-    return min(delta, n - delta)
-
-
-def _q_exact(l: int, i: int, dn: int) -> Fraction:
-    h = 1 << (l - 1)
-    if i == 0:
-        return Fraction(dn, h) if dn < h else Fraction(1)
-    if i == l:
-        return Fraction(1)
-    if dn < (1 << (l - i - 1)):
-        scaled = (1 << (i - 1)) * dn
-        return Fraction(scaled, h - scaled)
-    return Fraction(1)
-
-
-def _p_exact(l: int, j: int, dn: int) -> Fraction:
-    h = 1 << (l - 1)
-    if j == 0:
-        return Fraction(h - dn, h) if dn < h else Fraction(0)
-    # The continue weight at depth j >= 1 is positive only while the folded
-    # class still fits strictly inside the next level's half, d_n < 2**(l-j-1);
-    # where positive it equals the ratio below.
-    if dn < (1 << (l - j - 1)):
-        return Fraction(h - (1 << j) * dn, h - (1 << (j - 1)) * dn)
-    return Fraction(0)
 
 
 def branch_weights(l: int, delta: int) -> BranchWeights:
@@ -168,16 +142,18 @@ def branch_weights(l: int, delta: int) -> BranchWeights:
     size = ProblemSize.from_exponent(l)
     if not 0 <= delta <= size.n - 1:
         raise InvalidSizeError(f"delta must be in 0..{size.n - 1}, got {delta}")
-    dn = _folded(size.n, delta)
-    q = tuple(_q_exact(l, i, dn) for i in range(l + 1))
-    p = tuple(_p_exact(l, j, dn) for j in range(l))
-    m = []
-    prefix = Fraction(1)
+    dn = min(delta, size.n - delta)
+    h = 1 << (l - 1)
+    m = [Fraction(0)] * (l + 1)
+    rest = h  # mass not yet assigned, in units of 1/h
     for i in range(l + 1):
-        m.append(q[i] * prefix)
-        if i < l:
-            prefix *= p[i]
-    return BranchWeights(l=l, delta=delta, delta_n=dn, q=q, p=p, m=tuple(m))
+        if i == l or dn >= 1 << (l - i - 1):
+            m[i] = Fraction(rest, h)
+            break
+        share = dn << (i - 1) if i else dn
+        m[i] = Fraction(share, h)
+        rest -= share
+    return BranchWeights(l=l, delta=delta, delta_n=dn, m=tuple(m))
 
 
 def t_given_delta(l: int, delta: int, table: TTable | None = None) -> Fraction:
@@ -236,7 +212,8 @@ def t_max(l: int) -> int:
 def alpha(s: int, m: int, i: int, j: int) -> Fraction:
     """Probability that a uniform weighing of m of s coins captures j of the
     i coins that are present: C(s-i, m-j) / C(s, m), zero outside
-    0 <= m - j <= s - i.
+    0 <= m - j <= s - i.  Computed as the equal ratio of falling powers
+    m^(j) (s-m)^(i-j) / s^(i), whose factors have at most i terms.
     """
     if not (isinstance(s, int) and s >= 2):
         raise InvalidSizeError(f"need s >= 2, got {s!r}")
@@ -246,7 +223,8 @@ def alpha(s: int, m: int, i: int, j: int) -> Fraction:
         return Fraction(0)
     if not 0 <= m - j <= s - i:
         return Fraction(0)
-    return Fraction(math.comb(s - i, m - j), math.comb(s, m))
+    captured = math.perm(m, j) * math.perm(s - m, i - j)
+    return Fraction(captured, math.perm(s, i))
 
 
 class NestedTables:
@@ -256,10 +234,14 @@ class NestedTables:
     ``opt21[s]`` and ``opt22[s]`` handle a region known to hold total weight
     2 as one weight-2 coin or two weight-1 coins respectively, and
     ``opt2[s]`` mixes them with the prior odds (2 : s-1) that a weight-2
-    region of s coins holds a single coin.  All values are exact and follow
-    the midpoint split m = floor(s/2), which is what the nested executor
-    plays.  For the single-coin tables the midpoint attains the true minimum
-    over m at every s.  For the pair tables it does so at every power of two
+    region of s coins holds a single coin.  ``opt21`` is the same list as
+    ``opt1``, and ``split_t21`` is ``split_t1``: a lone weight-2 coin makes
+    every weighing read 0 or the full weight, exactly like a lone weight-1
+    coin, so both searches follow the same recursion from the same zero
+    base.  All values are exact and follow the midpoint split
+    m = floor(s/2), which is what the nested executor plays.  For the
+    single-coin tables the midpoint attains the true minimum over m at every
+    s.  For the pair tables it does so at every power of two
     -- the only sizes a run started at n = 2**l ever visits -- but not at
     general s, where splitting at a nearby power of two can be strictly
     cheaper (first case s = 6: m = 2 costs 56/15 against 19/5 at the
@@ -274,36 +256,18 @@ class NestedTables:
         zero = Fraction(0)
         # Size-1 regions are resolved: every table starts at 0.
         self.opt1 = [zero] * (s_max + 1)
-        self.opt21 = [zero] * (s_max + 1)
+        self.opt21 = self.opt1
         self.opt22 = [zero] * (s_max + 1)
         self.opt2 = [zero] * (s_max + 1)
         for s in range(2, s_max + 1):
             m = s // 2
-            self.opt1[s] = self._t1(s, m)
-            self.opt21[s] = self._t21(s, m)
-            self.opt22[s] = self._t22(s, m)
-            self.opt2[s] = self._mix(s, self.opt21[s], self.opt22[s])
+            self.opt1[s] = self.split_t1(s, m)
+            self.opt22[s] = self.split_t22(s, m)
+            self.opt2[s] = self._mix(s, self.opt1[s], self.opt22[s])
 
     @staticmethod
     def _mix(s: int, v21: Fraction, v22: Fraction) -> Fraction:
         return Fraction(2, s + 1) * v21 + Fraction(s - 1, s + 1) * v22
-
-    def _t1(self, s: int, m: int) -> Fraction:
-        return alpha(s, m, 1, 0) * (self.opt1[s - m] + 1) + alpha(s, m, 1, 1) * (
-            self.opt1[m] + 1
-        )
-
-    def _t21(self, s: int, m: int) -> Fraction:
-        return alpha(s, m, 1, 0) * (self.opt21[s - m] + 1) + alpha(s, m, 1, 1) * (
-            self.opt21[m] + 1
-        )
-
-    def _t22(self, s: int, m: int) -> Fraction:
-        return (
-            alpha(s, m, 2, 0) * (self.opt22[s - m] + 1)
-            + alpha(s, m, 2, 2) * (self.opt22[m] + 1)
-            + 2 * alpha(s, m, 2, 1) * (self.opt1[m] + self.opt1[s - m] + 1)
-        )
 
     def _require(self, s: int, m: int) -> None:
         if not 2 <= s <= self.s_max:
@@ -314,19 +278,23 @@ class NestedTables:
     def split_t1(self, s: int, m: int) -> Fraction:
         """Expected cost of locating one coin when the first weighing takes m."""
         self._require(s, m)
-        return self._t1(s, m)
+        return alpha(s, m, 1, 0) * (self.opt1[s - m] + 1) + alpha(s, m, 1, 1) * (
+            self.opt1[m] + 1
+        )
 
-    def split_t21(self, s: int, m: int) -> Fraction:
-        self._require(s, m)
-        return self._t21(s, m)
+    split_t21 = split_t1
 
     def split_t22(self, s: int, m: int) -> Fraction:
         self._require(s, m)
-        return self._t22(s, m)
+        return (
+            alpha(s, m, 2, 0) * (self.opt22[s - m] + 1)
+            + alpha(s, m, 2, 2) * (self.opt22[m] + 1)
+            + 2 * alpha(s, m, 2, 1) * (self.opt1[m] + self.opt1[s - m] + 1)
+        )
 
     def split_t2(self, s: int, m: int) -> Fraction:
         self._require(s, m)
-        return self._mix(s, self.split_t21(s, m), self.split_t22(s, m))
+        return self._mix(s, self.split_t1(s, m), self.split_t22(s, m))
 
 
 def nested_tables(s_max: int) -> NestedTables:

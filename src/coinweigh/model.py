@@ -177,7 +177,7 @@ def validate_subset(subset: tuple[int, ...], n: int) -> None:
         raise InvalidSubsetError("weighing subset must be nonempty")
     prev = 0
     for idx in subset:
-        if not isinstance(idx, int) or idx <= prev:
+        if type(idx) is not int or idx <= prev:
             raise InvalidSubsetError(
                 f"subset indices must be strictly increasing positive ints: {subset!r}"
             )

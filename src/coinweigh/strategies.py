@@ -74,7 +74,8 @@ def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
 
     With ``debug`` set, every entry into a joint round re-checks its
     precondition (both regions hold weight exactly 1, and for Π2 the lower
-    halves hold 1 together) against the oracle without recording a query.
+    halves hold 1 together) against the oracle without recording a query,
+    and raises ``InternalContractError`` if it fails.
     """
     ProblemSize.from_coin_count(config.n)
     est = [0] * config.n
@@ -105,9 +106,8 @@ def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
 
     def pi1(a: tuple[int, ...], b: tuple[int, ...]) -> None:
         # Known: w(a) = w(b) = 1.
-        if debug:
-            assert _subset_weight(config, a) == 1
-            assert _subset_weight(config, b) == 1
+        if debug and (_subset_weight(config, a), _subset_weight(config, b)) != (1, 1):
+            raise InternalContractError(f"joint round on {a!r}, {b!r}: not 1 each")
         if len(a) == 1 and len(b) == 1:
             est[a[0] - 1] = 1
             est[b[0] - 1] = 1
@@ -134,12 +134,9 @@ def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
         # Known: w(a) = w(b) = 1 and the joined lower halves weigh 1, so one
         # coin sits in a lower half and the other in an upper half.
         if debug:
-            assert (
-                _subset_weight(
-                    config, _merge(a[: len(a) // 2], b[: len(b) // 2])
-                )
-                == 1
-            )
+            lower = _merge(a[: len(a) // 2], b[: len(b) // 2])
+            if _subset_weight(config, lower) != 1:
+                raise InternalContractError(f"tie-break on {a!r}, {b!r}: lower not 1")
         if len(a) == 2 and len(b) == 2:
             # One weighing settles all four coins.
             o = ask(a[:1])

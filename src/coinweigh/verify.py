@@ -257,7 +257,7 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
     """Compare every analytic prediction at n = 2**l with exhaustive runs.
 
     Demands exact rational equality of the proposed average against the
-    branch-weight formula, of the nested average against the closed form,
+    depth law, of the nested average against the closed form,
     the divide-and-conquer recursion, and the direct log-form expression,
     and of both empirical maxima against 2l - 1.  Per-class rows are
     informational only: inside a class the analytic value and the empirical

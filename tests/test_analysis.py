@@ -179,6 +179,17 @@ class TestTGivenDelta:
         table = t_table(4)
         assert t_given_delta(4, 1, table=table) == t_given_delta(4, 1)
 
+    @pytest.mark.parametrize("l", range(1, 11))
+    def test_class_mix_equals_average(self, l):
+        # Class d of a pair configuration has prior weight 2(n-d)/(n(n+1)),
+        # and class 0 stands for the n weight-2 configurations, 2/(n+1).
+        n = 1 << l
+        table = t_table(l)
+        mix = F(2, n + 1) * t_given_delta(l, 0, table=table)
+        for d in range(1, n):
+            mix += F(2 * (n - d), n * (n + 1)) * t_given_delta(l, d, table=table)
+        assert mix == t_ave_proposed(l)
+
 
 class TestTAveProposed:
     @pytest.mark.parametrize("l", sorted(EXHAUSTIVE_AVG))
@@ -238,6 +249,19 @@ class TestAlpha:
         )
         assert total == 1
 
+    def test_matches_binomial_ratio(self):
+        # Reference: C(s-i, m-j) / C(s, m), zero outside 0 <= m-j <= s-i
+        # (which covers i > s).
+        for s in range(2, 41):
+            for m in range(1, s):
+                for i in range(s + 2):
+                    for j in range(i + 1):
+                        if 0 <= m - j <= s - i:
+                            ref = F(math.comb(s - i, m - j), math.comb(s, m))
+                        else:
+                            ref = F(0)
+                        assert alpha(s, m, i, j) == ref, (s, m, i, j)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidSizeError):
             alpha(1, 1, 1, 0)
@@ -259,6 +283,17 @@ class TestNestedTables:
         assert tables.opt22[2] == 1
         assert tables.opt1[3] == F(5, 3)
         assert tables.opt2[4] == F(12, 5)
+
+    def test_opt21_is_opt1(self):
+        tables = NestedTables(8)
+        assert tables.opt21 is tables.opt1
+        assert NestedTables.split_t21 is NestedTables.split_t1
+
+    def test_s4096_closed_forms(self):
+        # The size cross_check(12) builds.
+        tables = nested_tables(4096)
+        assert tables.opt1[4096] == 12
+        assert tables.opt2[4096] == nested_closed_forms(12)[1]
 
     def test_closed_forms_agree(self, tables):
         for i in range(1, 9):

@@ -142,7 +142,7 @@ class TestWeigh:
         assert weigh(config, tuple(range(1, n + 1))) == 2
 
     @pytest.mark.parametrize(
-        "subset", [(), (0,), (3, 2), (1, 1), (5,), (1, "2")]
+        "subset", [(), (0,), (3, 2), (1, 1), (5,), (1, "2"), (True, 2)]
     )
     def test_rejects_bad_subsets(self, subset):
         with pytest.raises(InvalidSubsetError):

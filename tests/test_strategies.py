@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coinweigh import strategies
 from coinweigh.model import (
     Configuration,
+    InternalContractError,
     InvalidSizeError,
     delta_of,
     enumerate_configs,
@@ -74,6 +76,17 @@ class TestProposed:
         for config in all_configs(n):
             transcript = run_proposed(config, debug=True)
             assert transcript.estimate == config.weights
+
+    def test_debug_mode_rejects_lying_oracle(self, monkeypatch):
+        # The oracle reports a 1 / 1 split first and weight 0 afterwards, so
+        # the joint round's precondition fails; without debug the run would
+        # return the wrong estimate (0, 1, 0, 1).
+        answers = iter([1])
+        monkeypatch.setattr(
+            strategies, "_subset_weight", lambda config, subset: next(answers, 0)
+        )
+        with pytest.raises(InternalContractError):
+            run_proposed(Configuration.type_two(4, 1, 3), debug=True)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
     def test_worst_case_attained(self, l):
