@@ -7,7 +7,8 @@ Four subcommands:
 * ``verify``   cross-check analytic predictions against exhaustive execution
 * ``sweep``    write the size-sweep comparison table as CSV
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  File output
+Exit codes: 0 success, 1 verification failure (a crashed worker process
+counts as one), 2 usage error, 130 interrupted by Ctrl-C.  File output
 is written in one shot after all computation succeeds, so failures never
 leave partial files behind.  All numeric formatting is fixed, making output
 byte-stable across runs and machines.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import analysis, verify
@@ -341,7 +343,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InternalContractError as exc:
+    except (InternalContractError, BrokenProcessPool) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except CoinWeighError as exc:
@@ -350,6 +352,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

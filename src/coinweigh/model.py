@@ -10,13 +10,17 @@ A weighing places a subset S of coins on a spring scale and reads off the
 exact total w(S).  Everything downstream (strategy executors, exact analysis,
 exhaustive verification) is built on the small vocabulary defined here.
 
-Indices are 1-based everywhere a coin position crosses a public interface;
-internal storage is a dense 0-based tuple.
+Indices are 1-based everywhere.  A ``Configuration`` stores the dense weight
+vector its public API exposes, but the executors and the verifier see only
+its support ``(p, q)``: the positions of the two unit coins, or p == q for a
+single coin of weight 2.  Regions are half-open runs ``[lo, hi)`` of
+consecutive positions, and ``weigh_runs`` weighs a union of runs against a
+support by comparing intervals.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -88,8 +92,9 @@ class Configuration:
     """A dense weight vector over coins 1..n with total weight 2.
 
     ``weights[k]`` is the weight of coin k+1.  The support (positions of the
-    nonzero weights, 1-based) is cached on first access; construction cost is
-    dominated by validation, which stays at C speed even for n = 4096.
+    nonzero weights, 1-based) is cached on first access, and ``positions``
+    gives it as the pair (p, q) that the executors work on; construction cost
+    is dominated by validation, which stays at C speed even for n = 4096.
     """
 
     weights: tuple[int, ...]
@@ -150,6 +155,12 @@ class Configuration:
         return ((pos + 1, 2),)
 
     @property
+    def positions(self) -> tuple[int, int]:
+        """The support as (p, q) with p <= q; p == q for a coin of weight 2."""
+        support = self.support
+        return support[0][0], support[-1][0]
+
+    @property
     def is_type_one(self) -> bool:
         return len(self.support) == 1
 
@@ -164,11 +175,8 @@ def delta_of(config: Configuration) -> int:
     Always in [0, n-1], and exactly n - d configurations share each class
     d >= 1 while all n type-I configurations share class 0.
     """
-    support = config.support
-    if len(support) == 1:
-        return 0
-    (i, _), (j, _) = support
-    return j - i
+    p, q = config.positions
+    return q - p
 
 
 def validate_subset(subset: tuple[int, ...], n: int) -> None:
@@ -196,10 +204,12 @@ def parse_subset(text: str, n: int) -> tuple[int, ...]:
     return subset
 
 
-def _subset_weight(config: Configuration, subset: tuple[int, ...]) -> int:
-    # Hot path shared by the executors and transcript re-verification: scan
-    # the (at most two-element) support against the subset.  Equivalent to
-    # the dense sum; the equivalence is property-tested.
+def weigh(config: Configuration, subset: tuple[int, ...]) -> int:
+    """Spring-scale oracle: the exact total weight of ``subset``.
+
+    The subset must be a strictly increasing tuple of 1-based positions.
+    """
+    validate_subset(subset, config.n)
     total = 0
     for pos, wt in config.support:
         if pos in subset:
@@ -207,13 +217,48 @@ def _subset_weight(config: Configuration, subset: tuple[int, ...]) -> int:
     return total
 
 
-def weigh(config: Configuration, subset: tuple[int, ...]) -> int:
-    """Spring-scale oracle: the exact total weight of ``subset``.
+def weigh_runs(p: int, q: int, runs: tuple[tuple[int, int], ...]) -> int:
+    """Interval oracle: the weight of a union of disjoint runs ``[lo, hi)``.
 
-    The subset must be a strictly increasing tuple of 1-based positions.
+    The configuration is given by its support ``(p, q)``.  Each run
+    contributes ``(lo <= p < hi) + (lo <= q < hi)``, so a coin of weight 2
+    (p == q) counts twice.  On the materialized subset this equals ``weigh``,
+    which is property-tested.
     """
-    validate_subset(subset, config.n)
-    return _subset_weight(config, subset)
+    total = 0
+    for lo, hi in runs:
+        total += (lo <= p < hi) + (lo <= q < hi)
+    return total
+
+
+def iter_supports(n: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """Yield the support (p, q) of each configuration of n coins, from rank
+    ``start`` on, in canonical order.
+
+    Ranks 0..n-1 are type I, ``(pos, pos)`` for pos = 1..n; then come the
+    type-II pairs (i, j), i < j, in lexicographic order.  ``n`` is not
+    validated here; ``enumerate_configs`` and the verifier do that.
+    """
+    if start < n:
+        for pos in range(start + 1, n + 1):
+            yield pos, pos
+        first, second = 1, 2
+    else:
+        k = start - n
+        if k >= n * (n - 1) // 2:
+            return
+        # Pair row a (0-based first coin) starts at offset a*n - a*(a+1)/2;
+        # invert with the quadratic formula and correct the rounding.
+        a = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * k)) // 2
+        while a * n - a * (a + 1) // 2 > k:
+            a -= 1
+        while (a + 1) * n - (a + 1) * (a + 2) // 2 <= k:
+            a += 1
+        first, second = a + 1, a + 2 + k - (a * n - a * (a + 1) // 2)
+    for i in range(first, n):
+        for j in range(second, n + 1):
+            yield i, j
+        second = i + 2
 
 
 def enumerate_configs(
@@ -221,9 +266,10 @@ def enumerate_configs(
 ) -> Iterator[Configuration]:
     """Yield all n + C(n, 2) configurations of n coins in canonical order.
 
-    Order is deterministic: type I by position 1..n, then type II in
-    lexicographic order of (i, j).  ``n`` must be a power of two unless
-    ``allow_any_size`` is set (the nested strategy handles arbitrary sizes).
+    The order is that of ``iter_supports``: type I by position 1..n, then
+    type II in lexicographic order of (i, j).  ``n`` must be a power of two
+    unless ``allow_any_size`` is set (the nested strategy handles arbitrary
+    sizes).
     Enumeration refuses n > 2**ENUMERATION_CAP_L; use the analytic routines
     for larger sizes.
     """
@@ -236,10 +282,11 @@ def enumerate_configs(
             f"n={n} exceeds the enumeration cap 2**{ENUMERATION_CAP_L}; "
             "use analysis-only mode"
         )
-    for pos in range(1, n + 1):
-        yield Configuration.type_one(n, pos)
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        yield Configuration.type_two(n, i, j)
+    for p, q in iter_supports(n):
+        if p == q:
+            yield Configuration.type_one(n, p)
+        else:
+            yield Configuration.type_two(n, p, q)
 
 
 def config_count(n: int) -> int:

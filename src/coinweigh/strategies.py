@@ -16,6 +16,14 @@ differ in how they spend the average case:
   are resolved one coin at a time.  It works for every n >= 2, powers of two
   or not.
 
+In both strategies every region is one run of consecutive coins and every
+query is the union of at most two runs.  So each strategy has a private core
+that works on half-open runs ``(lo, hi)`` and the support ``(p, q)`` alone,
+weighs with ``model.weigh_runs``, and returns the queries as (runs, outcome)
+pairs with runs ascending, plus the recovered support.  The exhaustive
+verifier calls the cores directly; ``run_proposed`` and ``run_nested`` turn
+their result into a ``Transcript`` of subset tuples and a dense estimate.
+
 ``check_nested`` decides whether a finished transcript obeys the nested
 discipline (each query refines a single currently-open region).  The proposed
 strategy violates it as soon as a Π1 round weighs across two regions.
@@ -28,13 +36,14 @@ from dataclasses import dataclass
 from .model import (
     Configuration,
     InternalContractError,
-    InvalidSizeError,
     ProblemSize,
-    _subset_weight,
     require_coin_count,
+    weigh_runs,
 )
 
 __all__ = ["Transcript", "run_proposed", "run_nested", "check_nested"]
+
+Runs = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -55,18 +64,158 @@ class Transcript:
         return len(self.queries)
 
 
-def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # Union of two disjoint ascending runs, kept ascending.  The executors
-    # only ever join runs that do not interleave, so concatenation suffices.
-    if not a:
-        return b
-    if not b:
-        return a
-    if a[-1] < b[0]:
-        return a + b
-    if b[-1] < a[0]:
-        return b + a
-    raise InternalContractError(f"interleaved runs {a!r} and {b!r}")
+def _union(alo: int, ahi: int, blo: int, bhi: int) -> Runs:
+    # Two runs from disjoint regions, ordered by their first coin.
+    if alo < blo:
+        return ((alo, ahi), (blo, bhi))
+    return ((blo, bhi), (alo, ahi))
+
+
+def _proposed_core(
+    n: int, p: int, q: int, debug: bool = False
+) -> tuple[list[tuple[Runs, int]], tuple[int, int]]:
+    """Π0/Π1/Π2 on coins 1..n (a power of two) for the support (p, q).
+
+    Returns the (runs, outcome) pairs in the order asked and the recovered
+    support.  A region is the run [lo, hi) and is split at its midpoint.
+    Resolved coins go into ``found`` once per unit of weight, so a coin of
+    weight 2 fills both ends of the support.
+    """
+    queries: list[tuple[Runs, int]] = []
+    found: list[int] = []
+
+    def ask(runs: Runs) -> int:
+        outcome = weigh_runs(p, q, runs)
+        queries.append((runs, outcome))
+        return outcome
+
+    def pi0(lo: int, hi: int, w: int) -> None:
+        # Known: w([lo, hi)) = w, either 1 or 2.
+        if hi - lo == 1:
+            found.extend((lo,) * w)
+            return
+        mid = (lo + hi) // 2
+        o = ask(((lo, mid),))
+        if o == 0:
+            pi0(mid, hi, w)
+        elif o == w:
+            pi0(lo, mid, w)
+        elif w == 2:
+            # Weight split 1 / 1 across the halves.
+            pi1(lo, mid, mid, hi)
+        else:
+            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
+
+    def pi1(alo: int, ahi: int, blo: int, bhi: int) -> None:
+        # Known: w(a) = w(b) = 1 for a = [alo, ahi) and b = [blo, bhi).
+        if debug and (
+            weigh_runs(p, q, ((alo, ahi),)),
+            weigh_runs(p, q, ((blo, bhi),)),
+        ) != (1, 1):
+            raise InternalContractError(
+                f"joint round on [{alo}, {ahi}), [{blo}, {bhi}): not 1 each"
+            )
+        if ahi - alo == 1 or bhi - blo == 1:
+            # A singleton is resolved without a weighing; bisect the other.
+            pi0(alo, ahi, 1)
+            pi0(blo, bhi, 1)
+            return
+        amid = (alo + ahi) // 2
+        bmid = (blo + bhi) // 2
+        o = ask(_union(alo, amid, blo, bmid))
+        if o == 0:
+            pi1(amid, ahi, bmid, bhi)
+        elif o == 2:
+            pi1(alo, amid, blo, bmid)
+        else:
+            pi2(alo, ahi, blo, bhi)
+
+    def pi2(alo: int, ahi: int, blo: int, bhi: int) -> None:
+        # Known: w(a) = w(b) = 1 and the joined lower halves weigh 1, so one
+        # coin sits in a lower half and the other in an upper half.
+        if debug and weigh_runs(
+            p, q, _union(alo, (alo + ahi) // 2, blo, (blo + bhi) // 2)
+        ) != 1:
+            raise InternalContractError(
+                f"tie-break on [{alo}, {ahi}), [{blo}, {bhi}): lower not 1"
+            )
+        if ahi - alo == 2 and bhi - blo == 2:
+            # One weighing settles all four coins.
+            o = ask(((alo, alo + 1),))
+            if o not in (0, 1):
+                raise InternalContractError(f"singleton weighed {o} in a joint round")
+            found.extend((alo, bhi - 1) if o else (alo + 1, blo))
+            return
+        if bhi - blo < ahi - alo:
+            alo, ahi, blo, bhi = blo, bhi, alo, ahi
+        amid = (alo + ahi) // 2
+        bmid = (blo + bhi) // 2
+        bqtr = (bmid + bhi) // 2
+        o = ask(_union(alo, amid, bmid, bqtr))
+        if o == 0:
+            pi1(amid, ahi, blo, bmid)
+        elif o == 1:
+            # a's lower half holds its coin (else outcome 0 or 2), so b's
+            # coin is in the top quarter of b.
+            pi1(alo, amid, bqtr, bhi)
+        else:
+            pi1(alo, amid, bmid, bqtr)
+
+    pi0(1, n + 1, 2)
+    lo_coin, hi_coin = sorted(found)
+    return queries, (lo_coin, hi_coin)
+
+
+def _nested_core(
+    n: int, p: int, q: int
+) -> tuple[list[tuple[Runs, int]], tuple[int, int]]:
+    """Nested bisection on coins 1..n for the support (p, q).
+
+    Returns the (runs, outcome) pairs in the order asked and the recovered
+    support.  Every query is the lower half of the region it refines.
+    """
+    queries: list[tuple[Runs, int]] = []
+    found: list[int] = []
+
+    def solve(lo: int, hi: int, w: int) -> None:
+        # Known: w([lo, hi)) = w >= 1.
+        if hi - lo == 1:
+            found.extend((lo,) * w)
+            return
+        mid = (lo + hi) // 2
+        runs = ((lo, mid),)
+        o = weigh_runs(p, q, runs)
+        queries.append((runs, o))
+        if o == 0:
+            solve(mid, hi, w)
+        elif o == w:
+            solve(lo, mid, w)
+        elif w == 2 and o == 1:
+            solve(lo, mid, 1)
+            solve(mid, hi, 1)
+        else:
+            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
+
+    solve(1, n + 1, 2)
+    lo_coin, hi_coin = sorted(found)
+    return queries, (lo_coin, hi_coin)
+
+
+def _transcript(
+    n: int, queries: list[tuple[Runs, int]], support: tuple[int, int]
+) -> Transcript:
+    # The public form: each query's runs as one ascending subset tuple, and
+    # the dense estimate (a coin of weight 2 is both ends of its support).
+    subsets = []
+    for runs, outcome in queries:
+        subset: tuple[int, ...] = ()
+        for lo, hi in runs:
+            subset += tuple(range(lo, hi))
+        subsets.append((subset, outcome))
+    est = [0] * n
+    est[support[0] - 1] += 1
+    est[support[1] - 1] += 1
+    return Transcript(tuple(subsets), tuple(est))
 
 
 def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
@@ -77,124 +226,16 @@ def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
     halves hold 1 together) against the oracle without recording a query,
     and raises ``InternalContractError`` if it fails.
     """
-    ProblemSize.from_coin_count(config.n)
-    est = [0] * config.n
-    queries: list[tuple[tuple[int, ...], int]] = []
-
-    def ask(subset: tuple[int, ...]) -> int:
-        outcome = _subset_weight(config, subset)
-        queries.append((subset, outcome))
-        return outcome
-
-    def pi0(s: tuple[int, ...], w: int) -> None:
-        # Known: w(s) = w, either 1 or 2.
-        if len(s) == 1:
-            est[s[0] - 1] = w
-            return
-        half = len(s) // 2
-        s1, s2 = s[:half], s[half:]
-        o = ask(s1)
-        if o == 0:
-            pi0(s2, w)
-        elif o == w:
-            pi0(s1, w)
-        elif w == 2:
-            # Weight split 1 / 1 across the halves.
-            pi1(s1, s2)
-        else:
-            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
-
-    def pi1(a: tuple[int, ...], b: tuple[int, ...]) -> None:
-        # Known: w(a) = w(b) = 1.
-        if debug and (_subset_weight(config, a), _subset_weight(config, b)) != (1, 1):
-            raise InternalContractError(f"joint round on {a!r}, {b!r}: not 1 each")
-        if len(a) == 1 and len(b) == 1:
-            est[a[0] - 1] = 1
-            est[b[0] - 1] = 1
-            return
-        if len(a) == 1:
-            pi0(a, 1)
-            pi0(b, 1)
-            return
-        if len(b) == 1:
-            pi0(b, 1)
-            pi0(a, 1)
-            return
-        a1, a2 = a[: len(a) // 2], a[len(a) // 2 :]
-        b1, b2 = b[: len(b) // 2], b[len(b) // 2 :]
-        o = ask(_merge(a1, b1))
-        if o == 0:
-            pi1(a2, b2)
-        elif o == 2:
-            pi1(a1, b1)
-        else:
-            pi2(a, b)
-
-    def pi2(a: tuple[int, ...], b: tuple[int, ...]) -> None:
-        # Known: w(a) = w(b) = 1 and the joined lower halves weigh 1, so one
-        # coin sits in a lower half and the other in an upper half.
-        if debug:
-            lower = _merge(a[: len(a) // 2], b[: len(b) // 2])
-            if _subset_weight(config, lower) != 1:
-                raise InternalContractError(f"tie-break on {a!r}, {b!r}: lower not 1")
-        if len(a) == 2 and len(b) == 2:
-            # One weighing settles all four coins.
-            o = ask(a[:1])
-            if o not in (0, 1):
-                raise InternalContractError(f"singleton weighed {o} in a joint round")
-            est[a[0] - 1] = o
-            est[a[1] - 1] = 1 - o
-            est[b[0] - 1] = 1 - o
-            est[b[1] - 1] = o
-            return
-        if len(b) < len(a):
-            a, b = b, a
-        a1, a2 = a[: len(a) // 2], a[len(a) // 2 :]
-        b1, b2 = b[: len(b) // 2], b[len(b) // 2 :]
-        b21, b22 = b2[: len(b2) // 2], b2[len(b2) // 2 :]
-        o = ask(_merge(a1, b21))
-        if o == 0:
-            pi1(a2, b1)
-        elif o == 1:
-            # a1 holds its coin (else outcome 0 or 2), so b's coin is in b22.
-            pi1(a1, b22)
-        else:
-            pi1(a1, b21)
-
-    pi0(tuple(range(1, config.n + 1)), 2)
-    return Transcript(tuple(queries), tuple(est))
+    n = ProblemSize.from_coin_count(config.n).n
+    queries, support = _proposed_core(n, *config.positions, debug)
+    return _transcript(n, queries, support)
 
 
 def run_nested(config: Configuration) -> Transcript:
     """Execute nested bisection on ``config`` (any n >= 2)."""
     require_coin_count(config.n)
-    est = [0] * config.n
-    queries: list[tuple[tuple[int, ...], int]] = []
-
-    def ask(subset: tuple[int, ...]) -> int:
-        outcome = _subset_weight(config, subset)
-        queries.append((subset, outcome))
-        return outcome
-
-    def solve(s: tuple[int, ...], w: int) -> None:
-        # Known: w(s) = w >= 1.
-        if len(s) == 1:
-            est[s[0] - 1] = w
-            return
-        r = s[: len(s) // 2]
-        o = ask(r)
-        if o == 0:
-            solve(s[len(r) :], w)
-        elif o == w:
-            solve(r, w)
-        elif w == 2 and o == 1:
-            solve(r, 1)
-            solve(s[len(r) :], 1)
-        else:
-            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
-
-    solve(tuple(range(1, config.n + 1)), 2)
-    return Transcript(tuple(queries), tuple(est))
+    queries, support = _nested_core(config.n, *config.positions)
+    return _transcript(config.n, queries, support)
 
 
 def check_nested(transcript: Transcript) -> bool:

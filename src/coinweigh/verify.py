@@ -3,39 +3,41 @@
 The analytic side of the package predicts averages and maxima from
 recursions; this module earns those numbers the hard way by executing a
 strategy on all n + C(n, 2) configurations, checking that every run recovers
-the exact weights and that every recorded outcome re-verifies against the
+the exact support and that every recorded outcome re-verifies against the
 oracle, and aggregating exact statistics.  ``cross_check`` then compares the
 two routes, demanding exact equality of rationals.
 
-Work is partitioned by configuration-index ranges so it can spread over
-processes; partial records hold integer sums, which merge exactly in any
-order, and the mean only becomes a rational at the end.
+The exhaustive loop never builds a ``Configuration`` or a subset tuple: it
+walks the supports (p, q) of ``model.iter_supports`` and calls the
+strategies' interval cores, whose queries are runs (lo, hi) weighed by
+``model.weigh_runs``.  Work is partitioned by ranges of support ranks so it
+can spread over processes; partial records hold integer sums, which merge
+exactly in any order, and the mean only becomes a rational at the end.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .model import (
-    Configuration,
     ENUMERATION_CAP_L,
     InternalContractError,
     InvalidSizeError,
     ProblemSize,
     TooLargeError,
-    _subset_weight,
     config_count,
-    delta_of,
+    iter_supports,
     require_coin_count,
+    weigh_runs,
 )
 from . import analysis
 from .analysis import rational_str
-from .strategies import run_nested, run_proposed
+from .strategies import _nested_core, _proposed_core
 
 __all__ = [
     "StatsRow",
@@ -47,7 +49,7 @@ __all__ = [
     "fit_loglinear",
 ]
 
-_STRATEGIES = {"proposed": run_proposed, "nested": run_nested}
+_CORES = {"proposed": _proposed_core, "nested": _nested_core}
 
 
 @dataclass(frozen=True)
@@ -126,57 +128,40 @@ def _resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _config_at(n: int, k: int) -> Configuration:
-    # Unrank: type-I configs occupy indices 0..n-1, then type-II pairs in
-    # lexicographic order of (i, j).
-    if k < n:
-        return Configuration.type_one(n, k + 1)
-    k -= n
-    # Row a (0-based first index) starts at offset a*n - a*(a+1)/2; invert
-    # with the quadratic formula and clamp.
-    a = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * k)) // 2
-    while a * n - a * (a + 1) // 2 > k:
-        a -= 1
-    while (a + 1) * n - (a + 1) * (a + 2) // 2 <= k:
-        a += 1
-    offset = a * n - a * (a + 1) // 2
-    return Configuration.type_two(n, a + 1, a + 2 + (k - offset))
-
-
 def _run_range(
     n: int, strategy: str, lo: int, hi: int
 ) -> tuple[int, int, int, dict[int, list[int]]]:
-    """Execute configs with indices lo..hi-1; return exact partial sums.
+    """Execute configs with ranks lo..hi-1; return exact partial sums.
 
-    Every config must recover exactly and every recorded outcome must
+    Every run must recover the true support and every recorded outcome must
     re-verify against the oracle; any discrepancy is an implementation bug.
+    Per-class cells are keyed by δ = q - p and hold [weighings, configs].
     """
-    runner = _STRATEGIES[strategy]
+    core = _CORES[strategy]
     count = 0
     total = 0
     worst = 0
     per_delta: dict[int, list[int]] = {}
-    for k in range(lo, hi):
-        config = _config_at(n, k)
-        transcript = runner(config)
-        if transcript.estimate != config.weights:
+    for p, q in islice(iter_supports(n, lo), hi - lo):
+        queries, found = core(n, p, q)
+        if found != (p, q):
             raise InternalContractError(
-                f"{strategy} failed to recover {config.as_text()}: "
-                f"got {','.join(map(str, transcript.estimate))}"
+                f"{strategy} failed to recover support {(p, q)} of n={n}: "
+                f"got {found}"
             )
-        for subset, outcome in transcript.queries:
-            if _subset_weight(config, subset) != outcome:
+        for runs, outcome in queries:
+            if weigh_runs(p, q, runs) != outcome:
                 raise InternalContractError(
-                    f"{strategy} transcript outcome {outcome} for subset "
-                    f"{subset} does not re-verify on {config.as_text()}"
+                    f"{strategy} transcript outcome {outcome} for runs {runs} "
+                    f"does not re-verify on support {(p, q)} of n={n}"
                 )
-        q = transcript.weighings
+        weighings = len(queries)
         count += 1
-        total += q
-        if q > worst:
-            worst = q
-        cell = per_delta.setdefault(delta_of(config), [0, 0])
-        cell[0] += q
+        total += weighings
+        if weighings > worst:
+            worst = weighings
+        cell = per_delta.setdefault(q - p, [0, 0])
+        cell[0] += weighings
         cell[1] += 1
     return count, total, worst, per_delta
 
@@ -196,7 +181,7 @@ def exhaustive_stats(
     CW_THREADS or the machine's CPU count; partials merge exactly so the
     result is independent of partitioning.
     """
-    if strategy not in _STRATEGIES:
+    if strategy not in _CORES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "proposed":
         size = ProblemSize.from_coin_count(n)

@@ -27,9 +27,12 @@ ACCEPTANCE_L_MAX = 10
 def full_stats():
     """StatsRow for every (l, strategy) with l = 1..10, keyed by that pair.
 
-    Building a row executes the strategy on every configuration and
-    re-verifies each recorded outcome, so merely constructing this fixture
-    proves recovery correctness for the whole range.
+    Building a row runs the strategy's interval core on the support of every
+    configuration, checks that it recovers that support and re-verifies each
+    recorded outcome against the interval oracle, so merely constructing this
+    fixture proves recovery correctness for the whole range.  The subset
+    tuples of the public transcripts are pinned separately, byte for byte,
+    by the digest tests in ``test_strategies.py``.
     """
     return {
         (l, strategy): verify.exhaustive_stats(1 << l, strategy)

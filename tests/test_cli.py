@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
+from coinweigh import verify
 from coinweigh.analysis import rational_str
 from coinweigh.cli import main
 
@@ -218,6 +220,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--l-max", "13")
         assert code == 2
         assert "error" in err
+
+    def test_worker_crash_is_verification_failure(self, capsys, monkeypatch):
+        # Forked workers inherit the patch and die without a result.
+        monkeypatch.setattr(verify, "_run_range", lambda *args: os._exit(1))
+        code, _, err = run(capsys, "verify", "--l-max", "6", "--threads", "2")
+        assert code == 1
+        assert err.startswith("verification failure:")
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verify, "cross_check", interrupted)
+        code, _, err = run(capsys, "verify", "--l-max", "2")
+        assert code == 130
+        assert err == "interrupted\n"
 
 
 class TestSweep:

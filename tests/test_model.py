@@ -19,9 +19,11 @@ from coinweigh.model import (
     config_count,
     delta_of,
     enumerate_configs,
+    iter_supports,
     parse_subset,
     validate_subset,
     weigh,
+    weigh_runs,
 )
 
 # Sizes small enough to enumerate eagerly in every property below.
@@ -148,6 +150,27 @@ class TestWeigh:
         with pytest.raises(InvalidSubsetError):
             validate_subset(subset, 4)
 
+    @given(st.data())
+    def test_runs_oracle_matches_weigh(self, data):
+        n = data.draw(sizes)
+        p = data.draw(st.integers(1, n))
+        q = data.draw(st.integers(p, n))
+        config = (
+            Configuration.type_one(n, p)
+            if p == q
+            else Configuration.type_two(n, p, q)
+        )
+        # One run [a, b), or two disjoint runs [a, b) and [c, d) with b <= c.
+        a = data.draw(st.integers(1, n))
+        b = data.draw(st.integers(a + 1, n + 1))
+        runs = ((a, b),)
+        if b <= n and data.draw(st.booleans()):
+            c = data.draw(st.integers(b, n))
+            d = data.draw(st.integers(c + 1, n + 1))
+            runs += ((c, d),)
+        subset = tuple(pos for lo, hi in runs for pos in range(lo, hi))
+        assert weigh_runs(p, q, runs) == weigh(config, subset)
+
     def test_parse_subset(self):
         assert parse_subset("1, 2,4", 4) == (1, 2, 4)
         with pytest.raises(InvalidSubsetError):
@@ -163,6 +186,19 @@ class TestEnumeration:
             (0, 2),
             (1, 1),
         ]
+
+    def test_supports_match_configs(self):
+        for n in (2, 3, 6, 8):
+            assert list(iter_supports(n)) == [
+                c.positions for c in enumerate_configs(n, allow_any_size=True)
+            ]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+    def test_supports_from_every_rank(self, n):
+        full = list(iter_supports(n))
+        assert len(full) == config_count(n)
+        for k in range(config_count(n) + 2):
+            assert list(iter_supports(n, k)) == full[k:]
 
     def test_counts(self):
         assert config_count(2) == 3

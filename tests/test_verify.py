@@ -10,6 +10,7 @@ import pytest
 from coinweigh.analysis import nested_closed_forms, t_ave_proposed
 from coinweigh.model import InvalidSizeError, TooLargeError, config_count
 from coinweigh.verify import (
+    _run_range,
     cross_check,
     exhaustive_stats,
     fit_loglinear,
@@ -87,6 +88,32 @@ class TestExhaustiveStats:
     def test_rejects_bad_threads(self):
         with pytest.raises(InvalidSizeError):
             exhaustive_stats(4, "proposed", threads=0)
+
+
+def merge_partials(a, b):
+    per_delta = {delta: list(cell) for delta, cell in a[3].items()}
+    for delta, (total, count) in b[3].items():
+        cell = per_delta.setdefault(delta, [0, 0])
+        cell[0] += total
+        cell[1] += count
+    return a[0] + b[0], a[1] + b[1], max(a[2], b[2]), per_delta
+
+
+class TestRunRange:
+    # n = 8 splits inside type I (k < 8), at n (k = 8) and inside every pair
+    # row; n = 6 does the same for a size that is not a power of two.
+    @pytest.mark.parametrize(
+        "n, strategy", [(8, "proposed"), (8, "nested"), (6, "nested")]
+    )
+    def test_split_anywhere_merges_to_whole(self, n, strategy):
+        total = config_count(n)
+        whole = _run_range(n, strategy, 0, total)
+        assert whole[0] == total
+        for k in range(total + 1):
+            parts = merge_partials(
+                _run_range(n, strategy, 0, k), _run_range(n, strategy, k, total)
+            )
+            assert parts == whole
 
 
 class TestCrossCheck:
