@@ -21,6 +21,7 @@ support by comparing intervals.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -93,8 +94,9 @@ class Configuration:
 
     ``weights[k]`` is the weight of coin k+1.  The support (positions of the
     nonzero weights, 1-based) is cached on first access, and ``positions``
-    gives it as the pair (p, q) that the executors work on; construction cost
-    is dominated by validation, which stays at C speed even for n = 4096.
+    gives it as the pair (p, q) that the executors work on.  Construction
+    cost is validation: two ``tuple.count`` passes in C, with no Python-level
+    loop even at n = 4096.
     """
 
     weights: tuple[int, ...]
@@ -103,9 +105,14 @@ class Configuration:
         w = self.weights
         if len(w) < 2:
             raise InvalidConfigurationError("need at least two coins")
-        # For integer entries, min/max bounds plus the total pin the shape:
-        # one 2 or two 1s.  Constructors only ever supply integers.
-        if min(w) < 0 or max(w) > TOTAL_WEIGHT or sum(w) != TOTAL_WEIGHT:
+        # The only legal shapes are one 2 among zeros or two 1s among zeros.
+        # Counting pins the shape whatever the entries, so a vector such as
+        # (0.5, 1.5) that sums to 2 is rejected as well.
+        zeros = w.count(0)
+        if not (
+            (zeros == len(w) - 1 and w.count(TOTAL_WEIGHT) == 1)
+            or (zeros == len(w) - 2 and w.count(1) == 2)
+        ):
             raise InvalidConfigurationError(
                 f"weights must be 0/1/2 with total {TOTAL_WEIGHT}: {w!r}"
             )
@@ -208,11 +215,14 @@ def weigh(config: Configuration, subset: tuple[int, ...]) -> int:
     """Spring-scale oracle: the exact total weight of ``subset``.
 
     The subset must be a strictly increasing tuple of 1-based positions.
+    Once ``validate_subset`` has checked that, each of the at most two
+    support positions is found by binary search in the sorted subset.
     """
     validate_subset(subset, config.n)
     total = 0
     for pos, wt in config.support:
-        if pos in subset:
+        k = bisect_left(subset, pos)
+        if k < len(subset) and subset[k] == pos:
             total += wt
     return total
 

@@ -23,6 +23,9 @@ weighs with ``model.weigh_runs``, and returns the queries as (runs, outcome)
 pairs with runs ascending, plus the recovered support.  The exhaustive
 verifier calls the cores directly; ``run_proposed`` and ``run_nested`` turn
 their result into a ``Transcript`` of subset tuples and a dense estimate.
+Each subset is a slice of one shared tuple of positions (two slices joined
+for a query of two runs), so building a transcript copies pointers and
+allocates no int objects.
 
 ``check_nested`` decides whether a finished transcript obeys the nested
 discipline (each query refines a single currently-open region).  The proposed
@@ -201,16 +204,26 @@ def _nested_core(
     return queries, (lo_coin, hi_coin)
 
 
+# _POSITIONS[k] == k for k = 0..n, for the largest n seen so far.  A larger n
+# replaces it with a longer tuple of the same form, so callers holding
+# different versions slice the same values.
+_POSITIONS: tuple[int, ...] = ()
+
+
 def _transcript(
     n: int, queries: list[tuple[Runs, int]], support: tuple[int, int]
 ) -> Transcript:
     # The public form: each query's runs as one ascending subset tuple, and
     # the dense estimate (a coin of weight 2 is both ends of its support).
+    global _POSITIONS
+    positions = _POSITIONS
+    if len(positions) <= n:
+        positions = _POSITIONS = tuple(range(n + 1))
     subsets = []
     for runs, outcome in queries:
         subset: tuple[int, ...] = ()
         for lo, hi in runs:
-            subset += tuple(range(lo, hi))
+            subset += positions[lo:hi]
         subsets.append((subset, outcome))
     est = [0] * n
     est[support[0] - 1] += 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given
@@ -71,11 +72,36 @@ class TestConfiguration:
 
     @pytest.mark.parametrize(
         "weights",
-        [(), (2,), (1, 1, 1), (2, 1, 0), (0, 0), (3, -1), (-1, 3), (0, 3)],
+        [
+            (),
+            (2,),
+            (1, 1, 1),
+            (2, 1, 0),
+            (0, 0),
+            (3, -1),
+            (-1, 3),
+            (0, 3),
+            (0.5, 1.5),
+        ],
     )
     def test_rejects_illegal_weights(self, weights):
         with pytest.raises(InvalidConfigurationError):
             Configuration(weights)
+
+    def test_count_check_matches_bounds_rule(self):
+        # Reference: the bounds-and-total rule, exact on integer entries.
+        def bounds_rule(w):
+            return not (min(w) < 0 or max(w) > 2 or sum(w) != 2)
+
+        for length in range(2, 6):
+            for weights in itertools.product(range(-1, 4), repeat=length):
+                try:
+                    Configuration(weights)
+                except InvalidConfigurationError:
+                    accepted = False
+                else:
+                    accepted = True
+                assert accepted == bounds_rule(weights), weights
 
     def test_text_round_trip(self):
         config = Configuration.from_text("0,0,1,0,0,1,0,0")
@@ -125,6 +151,30 @@ class TestWeigh:
     )
     def test_examples(self, weights, subset, expected):
         assert weigh(Configuration(weights), subset) == expected
+
+    @pytest.mark.parametrize(
+        "config, subset, expected",
+        [
+            # A support at coin n, with the subset ending before n.
+            (Configuration.type_one(8, 8), (1, 2, 3, 4, 5, 6, 7), 0),
+            (Configuration.type_two(8, 3, 8), (1, 2, 3, 4, 5, 6, 7), 1),
+            # A support at coin 1, with the subset starting after 1.
+            (Configuration.type_one(8, 1), (2, 3, 4), 0),
+            (Configuration.type_two(8, 1, 6), (2, 3, 4, 5, 6), 1),
+            # The subset (n,).
+            (Configuration.type_one(8, 8), (8,), 2),
+            (Configuration.type_two(8, 1, 8), (8,), 1),
+            (Configuration.type_one(8, 7), (8,), 0),
+            # A type-I coin inside either run of a two-run subset, in the
+            # gap between the runs, and past the second run.
+            (Configuration.type_one(8, 2), (1, 2, 5, 6), 2),
+            (Configuration.type_one(8, 5), (1, 2, 5, 6), 2),
+            (Configuration.type_one(8, 3), (1, 2, 5, 6), 0),
+            (Configuration.type_one(8, 7), (1, 2, 5, 6), 0),
+        ],
+    )
+    def test_binary_search_boundaries(self, config, subset, expected):
+        assert weigh(config, subset) == expected
 
     @given(st.data())
     def test_matches_dense_sum(self, data):

@@ -18,6 +18,7 @@ from coinweigh.model import (
     InvalidSizeError,
     delta_of,
     enumerate_configs,
+    validate_subset,
     weigh,
 )
 from coinweigh.strategies import (
@@ -201,6 +202,50 @@ class TestBudget:
         for runner in (run_proposed, run_nested):
             transcript = runner(config)
             assert 1 <= transcript.weighings <= 2 * l - 1
+
+
+def assert_subsets_sliced(transcript: Transcript, queries, n: int):
+    """Each subset is a plain tuple of ints that validates and equals the
+    concatenation of ``tuple(range(lo, hi))`` over the core's runs."""
+    assert len(transcript.queries) == len(queries)
+    for (subset, outcome), (runs, core_outcome) in zip(
+        transcript.queries, queries
+    ):
+        assert type(subset) is tuple
+        assert set(map(type, subset)) == {int}
+        validate_subset(subset, n)
+        reference: tuple[int, ...] = ()
+        for lo, hi in runs:
+            reference += tuple(range(lo, hi))
+        assert (subset, outcome) == (reference, core_outcome)
+
+
+class TestTranscriptSubsets:
+    @pytest.mark.parametrize("l", range(1, 9))
+    @pytest.mark.parametrize(
+        "runner, core",
+        [
+            (run_proposed, strategies._proposed_core),
+            (run_nested, strategies._nested_core),
+        ],
+        ids=["proposed", "nested"],
+    )
+    def test_subsets_match_runs(self, runner, core, l):
+        n = 1 << l
+        for config in all_configs(n):
+            queries, _ = core(n, *config.positions)
+            assert_subsets_sliced(runner(config), queries, n)
+
+    def test_positions_grow_and_are_reused(self, monkeypatch):
+        monkeypatch.setattr(strategies, "_POSITIONS", ())
+        for n in (5000, 8):
+            config = Configuration.type_two(n, 3, n)
+            transcript = run_nested(config)
+            assert_transcript_valid(config, transcript)
+            queries, _ = strategies._nested_core(n, 3, n)
+            assert_subsets_sliced(transcript, queries, n)
+            # Grown for n = 5000, then reused, not shrunk, for n = 8.
+            assert len(strategies._POSITIONS) == 5001
 
 
 # sha256 of the concatenated ``trace`` text of every transcript at one size,
