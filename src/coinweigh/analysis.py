@@ -102,8 +102,8 @@ def t_table(l: int) -> TTable:
         for i in range(k + 1):
             if i == 0:
                 v = k * one
-            elif i == 1:
-                v = one + half if k == 1 else k * one + quarter
+            elif i == k == 1:
+                v = one + half
             else:
                 near = t[i - 1][k - 1]
                 far = t[i - 1][k - 2] if k - 2 >= i - 1 else t[k - 2][i - 1]

@@ -11,19 +11,21 @@ exact total w(S).  Everything downstream (strategy executors, exact analysis,
 exhaustive verification) is built on the small vocabulary defined here.
 
 Indices are 1-based everywhere.  A ``Configuration`` stores the dense weight
-vector its public API exposes, but the executors and the verifier see only
-its support ``(p, q)``: the positions of the two unit coins, or p == q for a
-single coin of weight 2.  Regions are half-open runs ``[lo, hi)`` of
-consecutive positions, and ``weigh_runs`` weighs a union of runs against a
-support by comparing intervals.
+vector its public API exposes and, located once at construction, its support
+``(p, q)``: the positions of the two unit coins, or p == q for a single coin
+of weight 2.  The executors and the verifier see only the support.  Regions
+are half-open runs ``[lo, hi)`` of consecutive positions, and ``weigh_runs``
+weighs a union of runs against a support by comparing intervals.
+
+Which coin counts can be enumerated is decided in one place,
+``require_enumerable``: every n with 2 <= n <= 2**ENUMERATION_CAP_L.  Only
+the halving strategy also needs n to be a power of two (``ProblemSize``).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterator
 
 # Exhaustive enumeration is supported up to n = 2**ENUMERATION_CAP_L; past
@@ -82,24 +84,35 @@ class ProblemSize:
         return cls(l=n.bit_length() - 1, n=n)
 
 
-def require_coin_count(n: int) -> None:
-    """Validate an arbitrary-size coin count (nested strategy admits any n >= 2)."""
+def require_enumerable(n: int) -> None:
+    """Check that every configuration of n coins can be enumerated.
+
+    n must be an integer with 2 <= n <= 2**ENUMERATION_CAP_L; past the cap
+    raises ``TooLargeError`` (the analytic routines still work there).
+    """
     if not isinstance(n, int) or n < 2:
         raise InvalidSizeError(f"coin count must be an integer >= 2, got {n!r}")
+    if n > (1 << ENUMERATION_CAP_L):
+        raise TooLargeError(
+            f"n={n} exceeds the enumeration cap 2**{ENUMERATION_CAP_L}; "
+            "use analysis-only mode"
+        )
 
 
 @dataclass(frozen=True)
 class Configuration:
     """A dense weight vector over coins 1..n with total weight 2.
 
-    ``weights[k]`` is the weight of coin k+1.  The support (positions of the
-    nonzero weights, 1-based) is cached on first access, and ``positions``
-    gives it as the pair (p, q) that the executors work on.  Construction
-    cost is validation: two ``tuple.count`` passes in C, with no Python-level
-    loop even at n = 4096.
+    ``weights[k]`` is the weight of coin k+1.  ``positions`` stores the
+    support (the 1-based positions of the nonzero weights) as the pair
+    (p, q) that the executors work on, with p == q for a coin of weight 2.
+    Construction is two ``tuple.count`` passes that pin the shape, then
+    ``tuple.index`` calls that stop at the coins; all of it runs in C, with
+    no Python-level loop even at n = 4096.
     """
 
     weights: tuple[int, ...]
+    positions: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = self.weights
@@ -109,13 +122,16 @@ class Configuration:
         # Counting pins the shape whatever the entries, so a vector such as
         # (0.5, 1.5) that sums to 2 is rejected as well.
         zeros = w.count(0)
-        if not (
-            (zeros == len(w) - 1 and w.count(TOTAL_WEIGHT) == 1)
-            or (zeros == len(w) - 2 and w.count(1) == 2)
-        ):
+        if zeros == len(w) - 1 and w.count(TOTAL_WEIGHT) == 1:
+            p = q = w.index(TOTAL_WEIGHT) + 1
+        elif zeros == len(w) - 2 and w.count(1) == 2:
+            p = w.index(1) + 1
+            q = w.index(1, p) + 1
+        else:
             raise InvalidConfigurationError(
                 f"weights must be 0/1/2 with total {TOTAL_WEIGHT}: {w!r}"
             )
+        object.__setattr__(self, "positions", (p, q))
 
     @classmethod
     def type_one(cls, n: int, pos: int) -> "Configuration":
@@ -149,27 +165,16 @@ class Configuration:
     def n(self) -> int:
         return len(self.weights)
 
-    @cached_property
+    @property
     def support(self) -> tuple[tuple[int, int], ...]:
         """Nonzero positions as ((pos, weight), ...) with pos ascending."""
-        w = self.weights
-        try:
-            pos = w.index(2)
-        except ValueError:
-            i = w.index(1)
-            j = w.index(1, i + 1)
-            return ((i + 1, 1), (j + 1, 1))
-        return ((pos + 1, 2),)
-
-    @property
-    def positions(self) -> tuple[int, int]:
-        """The support as (p, q) with p <= q; p == q for a coin of weight 2."""
-        support = self.support
-        return support[0][0], support[-1][0]
+        p, q = self.positions
+        return ((p, TOTAL_WEIGHT),) if p == q else ((p, 1), (q, 1))
 
     @property
     def is_type_one(self) -> bool:
-        return len(self.support) == 1
+        p, q = self.positions
+        return p == q
 
     def as_text(self) -> str:
         return ",".join(str(v) for v in self.weights)
@@ -215,15 +220,16 @@ def weigh(config: Configuration, subset: tuple[int, ...]) -> int:
     """Spring-scale oracle: the exact total weight of ``subset``.
 
     The subset must be a strictly increasing tuple of 1-based positions.
-    Once ``validate_subset`` has checked that, each of the at most two
-    support positions is found by binary search in the sorted subset.
+    Once ``validate_subset`` has checked that, p and q of the support are
+    each found by binary search in the sorted subset and count 1 each, so a
+    coin of weight 2 (p == q) counts twice, as in ``weigh_runs``.
     """
     validate_subset(subset, config.n)
     total = 0
-    for pos, wt in config.support:
+    for pos in config.positions:
         k = bisect_left(subset, pos)
         if k < len(subset) and subset[k] == pos:
-            total += wt
+            total += 1
     return total
 
 
@@ -247,51 +253,36 @@ def iter_supports(n: int, start: int = 0) -> Iterator[tuple[int, int]]:
 
     Ranks 0..n-1 are type I, ``(pos, pos)`` for pos = 1..n; then come the
     type-II pairs (i, j), i < j, in lexicographic order.  ``n`` is not
-    validated here; ``enumerate_configs`` and the verifier do that.
+    validated here; ``require_enumerable`` does that for its callers.
     """
     if start < n:
         for pos in range(start + 1, n + 1):
             yield pos, pos
         first, second = 1, 2
     else:
+        # Walk the pair rows: row i holds the n - i pairs (i, i+1..n).
         k = start - n
-        if k >= n * (n - 1) // 2:
-            return
-        # Pair row a (0-based first coin) starts at offset a*n - a*(a+1)/2;
-        # invert with the quadratic formula and correct the rounding.
-        a = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * k)) // 2
-        while a * n - a * (a + 1) // 2 > k:
-            a -= 1
-        while (a + 1) * n - (a + 1) * (a + 2) // 2 <= k:
-            a += 1
-        first, second = a + 1, a + 2 + k - (a * n - a * (a + 1) // 2)
+        first = 1
+        while first < n and k >= n - first:
+            k -= n - first
+            first += 1
+        second = first + 1 + k
     for i in range(first, n):
         for j in range(second, n + 1):
             yield i, j
         second = i + 2
 
 
-def enumerate_configs(
-    n: int, *, allow_any_size: bool = False
-) -> Iterator[Configuration]:
+def enumerate_configs(n: int) -> Iterator[Configuration]:
     """Yield all n + C(n, 2) configurations of n coins in canonical order.
 
     The order is that of ``iter_supports``: type I by position 1..n, then
-    type II in lexicographic order of (i, j).  ``n`` must be a power of two
-    unless ``allow_any_size`` is set (the nested strategy handles arbitrary
-    sizes).
-    Enumeration refuses n > 2**ENUMERATION_CAP_L; use the analytic routines
-    for larger sizes.
+    type II in lexicographic order of (i, j).  Any n accepted by
+    ``require_enumerable`` works, a power of two or not; past
+    2**ENUMERATION_CAP_L it raises ``TooLargeError`` and the analytic
+    routines are the way to go.
     """
-    if allow_any_size:
-        require_coin_count(n)
-    else:
-        ProblemSize.from_coin_count(n)
-    if n > (1 << ENUMERATION_CAP_L):
-        raise TooLargeError(
-            f"n={n} exceeds the enumeration cap 2**{ENUMERATION_CAP_L}; "
-            "use analysis-only mode"
-        )
+    require_enumerable(n)
     for p, q in iter_supports(n):
         if p == q:
             yield Configuration.type_one(n, p)

@@ -40,7 +40,6 @@ from .model import (
     Configuration,
     InternalContractError,
     ProblemSize,
-    require_coin_count,
     weigh_runs,
 )
 
@@ -246,7 +245,6 @@ def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
 
 def run_nested(config: Configuration) -> Transcript:
     """Execute nested bisection on ``config`` (any n >= 2)."""
-    require_coin_count(config.n)
     queries, support = _nested_core(config.n, *config.positions)
     return _transcript(config.n, queries, support)
 

@@ -25,14 +25,12 @@ from fractions import Fraction
 from itertools import islice
 
 from .model import (
-    ENUMERATION_CAP_L,
     InternalContractError,
     InvalidSizeError,
     ProblemSize,
-    TooLargeError,
     config_count,
     iter_supports,
-    require_coin_count,
+    require_enumerable,
     weigh_runs,
 )
 from . import analysis
@@ -175,25 +173,20 @@ def exhaustive_stats(
 ) -> StatsRow:
     """Run ``strategy`` on every configuration of n coins and aggregate.
 
-    The proposed strategy needs n a power of two; nested accepts any
-    2 <= n <= 2**ENUMERATION_CAP_L.  Statistics are exact rationals; wall
-    time is reported, never part of any contract.  ``threads`` defaults to
-    CW_THREADS or the machine's CPU count; partials merge exactly so the
+    n must pass ``model.require_enumerable`` (any 2 <= n <=
+    2**ENUMERATION_CAP_L, else ``TooLargeError`` before any worker starts),
+    and the proposed strategy also needs n a power of two.  ``l`` is log2 n
+    for a power of two and None otherwise.  Statistics are exact rationals;
+    wall time is reported, never part of any contract.  ``threads`` defaults
+    to CW_THREADS or the machine's CPU count; partials merge exactly so the
     result is independent of partitioning.
     """
     if strategy not in _CORES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    require_enumerable(n)
     if strategy == "proposed":
-        size = ProblemSize.from_coin_count(n)
-        l: int | None = size.l
-    else:
-        require_coin_count(n)
-        l = n.bit_length() - 1 if n & (n - 1) == 0 else None
-    if n > (1 << ENUMERATION_CAP_L):
-        raise TooLargeError(
-            f"n={n} exceeds the enumeration cap 2**{ENUMERATION_CAP_L}; "
-            "use analysis-only mode"
-        )
+        ProblemSize.from_coin_count(n)
+    l = n.bit_length() - 1 if n & (n - 1) == 0 else None
 
     total_configs = config_count(n)
     workers = min(_resolve_threads(threads), total_configs)
@@ -246,30 +239,29 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
     the divide-and-conquer recursion, and the direct log-form expression,
     and of both empirical maxima against 2l - 1.  Per-class rows are
     informational only: inside a class the analytic value and the empirical
-    conditional mean legitimately disagree.
+    conditional mean legitimately disagree.  Past the enumeration cap,
+    ``exhaustive_stats`` raises ``TooLargeError``.
     """
-    size = ProblemSize.from_exponent(l)
-    if l > ENUMERATION_CAP_L:
-        raise TooLargeError(
-            f"cross-check needs enumeration; l={l} exceeds {ENUMERATION_CAP_L}"
-        )
-    n = size.n
-    analytic_avg = analysis.t_ave_proposed(l)
+    n = ProblemSize.from_exponent(l).n
     proposed = exhaustive_stats(n, "proposed", threads=threads)
     nested = exhaustive_stats(n, "nested", threads=threads)
 
+    analytic_avg = analysis.t_ave_proposed(l)
     nested_closed = analysis.nested_closed_forms(l)[1]
     nested_log_form = Fraction((2 * n + 1) * l - 2 * (n - 1), n + 1)
     nested_dp = analysis.nested_tables(n).opt2[n]
     predicted_max = analysis.t_max(l)
 
+    avg_equal = analytic_avg == proposed.average
+    nested_equal = nested_closed == nested_log_form == nested_dp == nested.average
+    max_equal = proposed.max_weighings == nested.max_weighings == predicted_max
     mismatches: list[str] = []
-    if analytic_avg != proposed.average:
+    if not avg_equal:
         mismatches.append(
             f"proposed average: analytic {rational_str(analytic_avg)} != "
             f"exhaustive {rational_str(proposed.average)}"
         )
-    if not nested_closed == nested_log_form == nested_dp == nested.average:
+    if not nested_equal:
         mismatches.append(
             "nested average disagreement: closed "
             f"{rational_str(nested_closed)}, log-form "
@@ -277,7 +269,7 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
             f"{rational_str(nested_dp)}, exhaustive "
             f"{rational_str(nested.average)}"
         )
-    if not proposed.max_weighings == nested.max_weighings == predicted_max:
+    if not max_equal:
         mismatches.append(
             f"max weighings: predicted {predicted_max}, proposed "
             f"{proposed.max_weighings}, nested {nested.max_weighings}"
@@ -298,16 +290,16 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
         n=n,
         analytic_avg=analytic_avg,
         empirical_avg=proposed.average,
-        avg_equal=analytic_avg == proposed.average,
+        avg_equal=avg_equal,
         nested_closed=nested_closed,
         nested_log_form=nested_log_form,
         nested_dp=nested_dp,
         nested_empirical=nested.average,
-        nested_equal=nested_closed == nested_log_form == nested_dp == nested.average,
+        nested_equal=nested_equal,
         predicted_max=predicted_max,
         max_proposed=proposed.max_weighings,
         max_nested=nested.max_weighings,
-        max_equal=proposed.max_weighings == nested.max_weighings == predicted_max,
+        max_equal=max_equal,
         per_delta=per_delta,
         mismatches=tuple(mismatches),
     )

@@ -93,6 +93,10 @@ class TestTTable:
         assert table.value(1, 1) == F(3, 2)
         assert table.value(1, 3) == F(13, 4)
         assert table.value(2, 2) == F(23, 8)
+        # The general rule gives the T[1][j] base line without a special case.
+        table = t_table(30)
+        for j in range(2, 31):
+            assert table.value(1, j) == j + F(1, 4), j
 
     def test_matches_measured_costs(self):
         table = t_table(5)

@@ -96,11 +96,21 @@ class TestConfiguration:
         for length in range(2, 6):
             for weights in itertools.product(range(-1, 4), repeat=length):
                 try:
-                    Configuration(weights)
+                    config = Configuration(weights)
                 except InvalidConfigurationError:
                     accepted = False
                 else:
                     accepted = True
+                    # The stored support is the 1-based nonzero positions,
+                    # with p == q for the coin of weight 2.
+                    nonzero = [k + 1 for k, v in enumerate(weights) if v]
+                    p, q = nonzero[0], nonzero[-1]
+                    assert config.positions == (p, q), weights
+                    assert config.support == tuple(
+                        (k, weights[k - 1]) for k in nonzero
+                    )
+                    assert config.is_type_one == (len(nonzero) == 1)
+                    assert delta_of(config) == q - p
                 assert accepted == bounds_rule(weights), weights
 
     def test_text_round_trip(self):
@@ -240,7 +250,7 @@ class TestEnumeration:
     def test_supports_match_configs(self):
         for n in (2, 3, 6, 8):
             assert list(iter_supports(n)) == [
-                c.positions for c in enumerate_configs(n, allow_any_size=True)
+                c.positions for c in enumerate_configs(n)
             ]
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
@@ -249,6 +259,21 @@ class TestEnumeration:
         assert len(full) == config_count(n)
         for k in range(config_count(n) + 2):
             assert list(iter_supports(n, k)) == full[k:]
+
+    def test_supports_from_spot_ranks_at_cap(self):
+        n = 1 << ENUMERATION_CAP_L
+        last = config_count(n) - 1
+        expected = {
+            0: [(1, 1), (2, 2)],
+            n - 1: [(n, n), (1, 2)],
+            n: [(1, 2), (1, 3)],
+            2 * n - 1: [(2, 3), (2, 4)],
+            last: [(n - 1, n)],
+            last + 1: [],
+        }
+        for start, supports in expected.items():
+            got = list(itertools.islice(iter_supports(n, start), 2))
+            assert got == supports, start
 
     def test_counts(self):
         assert config_count(2) == 3
@@ -275,12 +300,16 @@ class TestEnumeration:
         configs = [c.weights for c in enumerate_configs(n)]
         assert len(set(configs)) == len(configs)
 
-    def test_odd_sizes_need_opt_in(self):
+    def test_any_size_enumerates(self):
+        assert len(list(enumerate_configs(6))) == 21
+
+    @pytest.mark.parametrize("bad", [0, 1, 2.0, "8"])
+    def test_rejects_bad_sizes(self, bad):
         with pytest.raises(InvalidSizeError):
-            list(enumerate_configs(6))
-        assert len(list(enumerate_configs(6, allow_any_size=True))) == 21
+            list(enumerate_configs(bad))
 
     def test_enumeration_cap(self):
-        too_big = 1 << (ENUMERATION_CAP_L + 1)
-        with pytest.raises(TooLargeError):
-            list(enumerate_configs(too_big))
+        # next(), not list(): a broken cap must fail here, not fill memory.
+        for too_big in (1 << (ENUMERATION_CAP_L + 1), (1 << ENUMERATION_CAP_L) + 1):
+            with pytest.raises(TooLargeError):
+                next(enumerate_configs(too_big))

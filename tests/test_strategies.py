@@ -39,7 +39,7 @@ EXAMPLE_QUERIES = (
 
 
 def all_configs(n: int):
-    return list(enumerate_configs(n, allow_any_size=True))
+    return list(enumerate_configs(n))
 
 
 def assert_transcript_valid(config: Configuration, transcript: Transcript):

@@ -69,6 +69,8 @@ class TestExhaustiveStats:
     def test_cap_enforced(self):
         with pytest.raises(TooLargeError):
             exhaustive_stats(1 << 13, "proposed")
+        with pytest.raises(TooLargeError):
+            exhaustive_stats(4097, "nested")
 
     def test_deterministic(self):
         assert rows_equal(
