@@ -122,29 +122,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     reports = []
     failed_at: int | None = None
-    for l in range(1, l_max + 1):
-        report = verify.cross_check(l, threads=args.threads)
-        reports.append(report)
-        if not args.json:
-            status = "PASS" if report.ok else "FAIL"
-            print(
-                f"l={l}: {status} avg={rational_str(report.empirical_avg)} "
-                f"nested={rational_str(report.nested_empirical)} "
-                f"max={report.max_proposed}"
-            )
-            shown = report.per_delta[:_PER_DELTA_SHOWN]
-            rows = "; ".join(
-                f"d={row.delta}: {rational_str(row.analytic)} vs "
-                f"{rational_str(row.empirical)} ({row.configs} cfgs)"
-                for row in shown
-            )
-            extra = len(report.per_delta) - len(shown)
-            tail = f"; ... {extra} more" if extra > 0 else ""
-            print(f"  per-delta analytic vs empirical (info): {rows}{tail}")
-            for line in report.mismatches:
-                print(f"  mismatch: {line}")
-        if not report.ok and failed_at is None:
-            failed_at = l
+    with verify.worker_pool(args.threads):
+        for l in range(1, l_max + 1):
+            report = verify.cross_check(l, threads=args.threads)
+            reports.append(report)
+            if not args.json:
+                status = "PASS" if report.ok else "FAIL"
+                print(
+                    f"l={l}: {status} avg={rational_str(report.empirical_avg)} "
+                    f"nested={rational_str(report.nested_empirical)} "
+                    f"max={report.max_proposed}"
+                )
+                shown = report.per_delta[:_PER_DELTA_SHOWN]
+                rows = "; ".join(
+                    f"d={row.delta}: {rational_str(row.analytic)} vs "
+                    f"{rational_str(row.empirical)} ({row.configs} cfgs)"
+                    for row in shown
+                )
+                extra = len(report.per_delta) - len(shown)
+                tail = f"; ... {extra} more" if extra > 0 else ""
+                print(f"  per-delta analytic vs empirical (info): {rows}{tail}")
+                for line in report.mismatches:
+                    print(f"  mismatch: {line}")
+            if not report.ok and failed_at is None:
+                failed_at = l
     if args.json:
         doc = [
             {
@@ -215,18 +216,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "lb_avg": bounds.ave_lb,
             "lb_max": bounds.worst_lb,
         }
-        if args.simulate:
-            if l <= ENUMERATION_CAP_L:
-                row["sim_prop_avg"] = verify.exhaustive_stats(
-                    n, "proposed", threads=args.threads
-                ).average
-                row["sim_nested_avg"] = verify.exhaustive_stats(
-                    n, "nested", threads=args.threads
-                ).average
-            else:
-                row["sim_prop_avg"] = None
-                row["sim_nested_avg"] = None
         rows.append(row)
+    if args.simulate:
+        # Only a simulated sweep starts workers, all in one shared pool.
+        with verify.worker_pool(args.threads):
+            for row in rows:
+                if row["l"] <= ENUMERATION_CAP_L:
+                    row["sim_prop_avg"] = verify.exhaustive_stats(
+                        row["n"], "proposed", threads=args.threads
+                    ).average
+                    row["sim_nested_avg"] = verify.exhaustive_stats(
+                        row["n"], "nested", threads=args.threads
+                    ).average
+                else:
+                    row["sim_prop_avg"] = None
+                    row["sim_nested_avg"] = None
 
     lines = [_CSV_BASE + (_CSV_SIM if args.simulate else "")]
     for row in rows:

@@ -13,14 +13,23 @@ strategies' interval cores, whose queries are runs (lo, hi) weighed by
 ``model.weigh_runs``.  Work is partitioned by ranges of support ranks so it
 can spread over processes; partial records hold integer sums, which merge
 exactly in any order, and the mean only becomes a rational at the end.
+
+A CLI run opens one ``worker_pool`` around all of its sizes, and every
+``exhaustive_stats`` call inside it sends its chunks to that one pool; a
+call outside any ``worker_pool`` opens a pool for itself.  ``cross_check``
+sends the chunks of both strategies before it waits on either, so the pool
+does not drain between them.  The pool never outlives the block that
+opened it.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
@@ -44,6 +53,7 @@ __all__ = [
     "FitResult",
     "exhaustive_stats",
     "cross_check",
+    "worker_pool",
     "fit_loglinear",
 ]
 
@@ -109,11 +119,23 @@ class FitResult:
     residual_max: float
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _resolve_threads(threads: int | None) -> int:
+    """Worker count: ``threads``, else CW_THREADS, else every usable CPU.
+
+    The count is clamped to the CPUs this process may run on, so a large
+    request never forks more workers than can run at once.
+    """
     if threads is not None:
-        if not isinstance(threads, int) or threads < 1:
+        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
             raise InvalidSizeError(f"threads must be an integer >= 1, got {threads!r}")
-        return threads
+        return min(threads, _usable_cpus())
     env = os.environ.get("CW_THREADS")
     if env is not None:
         try:
@@ -122,8 +144,54 @@ def _resolve_threads(threads: int | None) -> int:
             raise InvalidSizeError(f"CW_THREADS must be an integer, got {env!r}")
         if value < 1:
             raise InvalidSizeError(f"CW_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
+        return min(value, _usable_cpus())
+    return _usable_cpus()
+
+
+_Partial = tuple[int, int, int, dict[int, list[int]]]
+
+
+@dataclass
+class _OpenPool:
+    """The state of an open ``worker_pool``."""
+
+    workers: int
+    # None when one worker runs every chunk in process.
+    executor: ProcessPoolExecutor | None
+    # Runs that cross_check sent ahead, keyed by (n, strategy), whose
+    # partial records exhaustive_stats has not read yet.
+    queued: dict[tuple[int, str], Iterator[_Partial]] = field(default_factory=dict)
+
+
+_open_pool: _OpenPool | None = None
+
+
+@contextmanager
+def worker_pool(threads: int | None = None) -> Iterator[None]:
+    """Share one worker pool among every exhaustive run inside the block.
+
+    The worker count is resolved once, as for ``exhaustive_stats``; with one
+    worker no process starts.  A block opened inside another checks
+    ``threads`` and joins the outer pool.  On leaving the block the pool is shut down, and when an exception
+    leaves it (a failed check, a broken pool, Ctrl-C) its queued chunks are
+    cancelled first.  The pool never outlives the block, so its workers
+    never run code older than the call that opened it.
+    """
+    global _open_pool
+    workers = _resolve_threads(threads)
+    if _open_pool is not None:
+        yield
+        return
+    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    _open_pool = _OpenPool(workers, executor)
+    finished = False
+    try:
+        yield
+        finished = True
+    finally:
+        _open_pool = None
+        if executor is not None:
+            executor.shutdown(cancel_futures=not finished)
 
 
 def _run_range(
@@ -168,6 +236,23 @@ def _worker(args: tuple[int, str, int, int]):
     return _run_range(*args)
 
 
+def _submit(n: int, strategy: str) -> Iterator[_Partial]:
+    """Send the chunk jobs of every configuration of n coins to the open
+    pool; their partial records arrive, in order, as the result is read.
+
+    This is the one route for chunk jobs.  With one worker the single job
+    runs in process, when the result is read.
+    """
+    workers, executor = _open_pool.workers, _open_pool.executor
+    total_configs = config_count(n)
+    chunk_count = 1 if executor is None else min(workers * 4, total_configs)
+    bounds = [total_configs * part // chunk_count for part in range(chunk_count + 1)]
+    jobs = [
+        (n, strategy, bounds[part], bounds[part + 1]) for part in range(chunk_count)
+    ]
+    return (map if executor is None else executor.map)(_worker, jobs)
+
+
 def exhaustive_stats(
     n: int, strategy: str, *, threads: int | None = None
 ) -> StatsRow:
@@ -177,9 +262,18 @@ def exhaustive_stats(
     2**ENUMERATION_CAP_L, else ``TooLargeError`` before any worker starts),
     and the proposed strategy also needs n a power of two.  ``l`` is log2 n
     for a power of two and None otherwise.  Statistics are exact rationals;
-    wall time is reported, never part of any contract.  ``threads`` defaults
-    to CW_THREADS or the machine's CPU count; partials merge exactly so the
-    result is independent of partitioning.
+    partials merge exactly, so the result is independent of partitioning.
+
+    ``threads`` defaults to CW_THREADS or the usable CPUs, and is clamped to
+    the usable CPUs.  Inside an open ``worker_pool`` (a CLI run opens one
+    for all its sizes and both strategies) the chunks run on that pool with
+    its worker count; outside one, a pool is opened for this call.
+
+    ``runtime_s`` is the wall time this call waited for its chunks, and
+    includes pool start-up only when the call opened its own pool.  In a
+    ``cross_check`` batch the nested chunks start while the proposed ones
+    still run, so the two rows' times add up to the time of the batch.  It
+    is reported, never part of any contract.
     """
     if strategy not in _CORES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -188,22 +282,10 @@ def exhaustive_stats(
         ProblemSize.from_coin_count(n)
     l = n.bit_length() - 1 if n & (n - 1) == 0 else None
 
-    total_configs = config_count(n)
-    workers = min(_resolve_threads(threads), total_configs)
     start = time.perf_counter()
-    if workers == 1:
-        partials = [_run_range(n, strategy, 0, total_configs)]
-    else:
-        chunk_count = min(workers * 4, total_configs)
-        bounds = [
-            total_configs * part // chunk_count for part in range(chunk_count + 1)
-        ]
-        jobs = [
-            (n, strategy, bounds[part], bounds[part + 1])
-            for part in range(chunk_count)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_worker, jobs))
+    with worker_pool(threads):
+        queued = _open_pool.queued.pop((n, strategy), None)
+        partials = list(_submit(n, strategy) if queued is None else queued)
     runtime = time.perf_counter() - start
 
     count = sum(part[0] for part in partials)
@@ -239,12 +321,20 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
     the divide-and-conquer recursion, and the direct log-form expression,
     and of both empirical maxima against 2l - 1.  Per-class rows are
     informational only: inside a class the analytic value and the empirical
-    conditional mean legitimately disagree.  Past the enumeration cap,
-    ``exhaustive_stats`` raises ``TooLargeError``.
+    conditional mean legitimately disagree.  The chunks of both strategies
+    go to one ``worker_pool`` (the open one, or one opened for this call)
+    as one batch.  Past the enumeration cap it raises ``TooLargeError``
+    before any worker starts.
     """
     n = ProblemSize.from_exponent(l).n
-    proposed = exhaustive_stats(n, "proposed", threads=threads)
-    nested = exhaustive_stats(n, "nested", threads=threads)
+    require_enumerable(n)
+    with worker_pool(threads):
+        # Both strategies' chunks go to the pool before either is awaited,
+        # so it does not drain between them.
+        for strategy in ("proposed", "nested"):
+            _open_pool.queued[(n, strategy)] = _submit(n, strategy)
+        proposed = exhaustive_stats(n, "proposed", threads=threads)
+        nested = exhaustive_stats(n, "nested", threads=threads)
 
     analytic_avg = analysis.t_ave_proposed(l)
     nested_closed = analysis.nested_closed_forms(l)[1]

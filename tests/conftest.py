@@ -32,10 +32,12 @@ def full_stats():
     recorded outcome against the interval oracle, so merely constructing this
     fixture proves recovery correctness for the whole range.  The subset
     tuples of the public transcripts are pinned separately, byte for byte,
-    by the digest tests in ``test_strategies.py``.
+    by the digest tests in ``test_strategies.py``.  All 20 rows share one
+    ``verify.worker_pool``, as the sizes of a CLI run do.
     """
-    return {
-        (l, strategy): verify.exhaustive_stats(1 << l, strategy)
-        for l in range(1, ACCEPTANCE_L_MAX + 1)
-        for strategy in ("proposed", "nested")
-    }
+    with verify.worker_pool():
+        return {
+            (l, strategy): verify.exhaustive_stats(1 << l, strategy)
+            for l in range(1, ACCEPTANCE_L_MAX + 1)
+            for strategy in ("proposed", "nested")
+        }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from coinweigh import verify
 from coinweigh.analysis import rational_str
 from coinweigh.cli import main
+from coinweigh.model import InternalContractError
 
 CSV_HEADER = "l,n,prop_avg,prop_max,nested_avg,nested_max,lb_avg,lb_max"
 
@@ -29,6 +31,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Counts the worker pools ``verify`` constructs and records, for each
+    shutdown, whether queued chunks were cancelled.  Two CPUs are reported
+    usable, so ``--threads 2`` means two workers on any machine."""
+    log = {"created": 0, "cancelled": []}
+
+    class CountingPool(verify.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            log["created"] += 1
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            log["cancelled"].append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    return log
+
+
+def assert_no_pool_survives():
+    assert verify._open_pool is None
+    assert multiprocessing.active_children() == []
 
 
 class TestTrace:
@@ -221,14 +249,31 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
-    def test_worker_crash_is_verification_failure(self, capsys, monkeypatch):
+    def test_worker_crash_is_verification_failure(
+        self, capsys, monkeypatch, pool_log
+    ):
         # Forked workers inherit the patch and die without a result.
         monkeypatch.setattr(verify, "_run_range", lambda *args: os._exit(1))
         code, _, err = run(capsys, "verify", "--l-max", "6", "--threads", "2")
         assert code == 1
         assert err.startswith("verification failure:")
+        assert pool_log == {"created": 1, "cancelled": [True]}
+        assert_no_pool_survives()
 
-    def test_interrupt_exits_130(self, capsys, monkeypatch):
+    def test_contract_error_in_worker_is_verification_failure(
+        self, capsys, monkeypatch, pool_log
+    ):
+        def broken(*args):
+            raise InternalContractError("planted in a worker")
+
+        monkeypatch.setattr(verify, "_run_range", broken)
+        code, _, err = run(capsys, "verify", "--l-max", "6", "--threads", "2")
+        assert code == 1
+        assert err == "verification failure: planted in a worker\n"
+        assert pool_log == {"created": 1, "cancelled": [True]}
+        assert_no_pool_survives()
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch, pool_log):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
@@ -236,6 +281,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--l-max", "2")
         assert code == 130
         assert err == "interrupted\n"
+        assert pool_log == {"created": 1, "cancelled": [True]}
+        assert_no_pool_survives()
+
+    @pytest.mark.parametrize("threads, pools", [("2", 1), ("1", 0)])
+    def test_one_pool_per_run(self, capsys, pool_log, threads, pools):
+        code, _, _ = run(capsys, "verify", "--l-max", "6", "--threads", threads)
+        assert code == 0
+        assert pool_log == {"created": pools, "cancelled": [False] * pools}
+        assert_no_pool_survives()
 
 
 class TestSweep:
@@ -283,6 +337,20 @@ class TestSweep:
             cells = line.split(",")
             assert cells[8] == cells[2]  # simulated == analytic average
             assert cells[9] == cells[4]
+
+    @pytest.mark.parametrize(
+        "argv, pools",
+        [
+            (["--l-max", "9"], 0),
+            (["--l-max", "6", "--simulate", "--threads", "2"], 1),
+        ],
+    )
+    def test_pools_started(self, capsys, tmp_path, pool_log, argv, pools):
+        out_path = tmp_path / "pools.csv"
+        code, _, _ = run(capsys, "sweep", *argv, "--out", str(out_path))
+        assert code == 0
+        assert pool_log == {"created": pools, "cancelled": [False] * pools}
+        assert_no_pool_survives()
 
     def test_l_max_1_usage_error(self, capsys, tmp_path):
         code, _, err = run(

@@ -3,10 +3,12 @@ cross-checks, and the least-squares fit helper."""
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import pytest
 
+from coinweigh import verify
 from coinweigh.analysis import nested_closed_forms, t_ave_proposed
 from coinweigh.model import InvalidSizeError, TooLargeError, config_count
 from coinweigh.verify import (
@@ -14,6 +16,7 @@ from coinweigh.verify import (
     cross_check,
     exhaustive_stats,
     fit_loglinear,
+    worker_pool,
 )
 
 F = Fraction
@@ -90,6 +93,93 @@ class TestExhaustiveStats:
     def test_rejects_bad_threads(self):
         with pytest.raises(InvalidSizeError):
             exhaustive_stats(4, "proposed", threads=0)
+        with pytest.raises(InvalidSizeError):
+            exhaustive_stats(4, "proposed", threads=True)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in for ``verify.ProcessPoolExecutor`` that starts no process.
+
+    It records each pool's size and every batch of jobs, and runs ``map`` in
+    process.  ``sent_when_read`` holds, for each batch, how many batches had
+    been sent when its first result was read.
+    """
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.batches = []
+            self.sent_when_read = []
+            pools.append(self)
+
+        def map(self, fn, jobs):
+            self.batches.append(jobs)
+            return self._results(fn, jobs)
+
+        def _results(self, fn, jobs):
+            self.sent_when_read.append(len(self.batches))
+            yield from map(fn, jobs)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize(
+        "from_env, has_affinity",
+        [(False, True), (True, True), (False, False)],
+    )
+    def test_worker_count_clamped_to_usable_cpus(
+        self, monkeypatch, recording_pool, from_env, has_affinity
+    ):
+        if has_affinity:
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+            )
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        threads = None
+        if from_env:
+            monkeypatch.setenv("CW_THREADS", "5000")
+        else:
+            threads = 5000
+        row = exhaustive_stats(64, "proposed", threads=threads)
+        assert [pool.max_workers for pool in recording_pool] == [3]
+        assert rows_equal(row, exhaustive_stats(64, "proposed", threads=1))
+
+    def test_cross_check_sends_both_strategies_before_reading(
+        self, monkeypatch, recording_pool
+    ):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        assert cross_check(4, threads=2).ok
+        [pool] = recording_pool
+        assert pool.sent_when_read == [2, 2]
+        assert [
+            {(strategy, lo, hi) for _, strategy, lo, hi in jobs}
+            for jobs in pool.batches
+        ] == [
+            {(strategy, 136 * k // 8, 136 * (k + 1) // 8) for k in range(8)}
+            for strategy in ("proposed", "nested")
+        ]
+
+    def test_shared_pool_rows_match_in_process(self, monkeypatch):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        cases = [
+            (1 << l, strategy)
+            for l in range(1, 7)
+            for strategy in ("proposed", "nested")
+        ] + [(n, "nested") for n in (5, 6, 7)]
+        with worker_pool(2):
+            shared = [exhaustive_stats(n, strategy) for n, strategy in cases]
+        assert verify._open_pool is None
+        for (n, strategy), row in zip(cases, shared):
+            assert rows_equal(row, exhaustive_stats(n, strategy, threads=1))
 
 
 def merge_partials(a, b):
