@@ -3,7 +3,8 @@
 Four subcommands:
 
 * ``trace``    run one strategy on one configuration and print the weighings
-* ``analyze``  print analytic averages, maxima, and lower bounds for one size
+* ``analyze``  print the sweep's row at one size: analytic averages, maxima
+               and lower bounds
 * ``verify``   cross-check analytic predictions against exhaustive execution
 * ``sweep``    write the size-sweep comparison table as CSV
 
@@ -66,48 +67,52 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    l = args.l
-    size = ProblemSize.from_exponent(l)
+def _size_row(l: int, exact: bool) -> dict:
+    """The analytic columns at n = 2**l, keyed in CSV order.
+
+    The proposed average is a Fraction when ``exact`` and its binary64
+    rounding otherwise; the nested average is always a Fraction.
+    """
+    n = ProblemSize.from_exponent(l).n
     # The bounds reject sizes too large for binary64, so they go first.
-    bounds = analysis.lower_bounds(size.n)
-    prop_avg = analysis.t_ave_proposed(l, mode=args.mode)
-    nested_avg = analysis.nested_closed_forms(l)[1]
+    bounds = analysis.lower_bounds(n)
     worst = analysis.t_max(l)
+    return {
+        "l": l,
+        "n": n,
+        "prop_avg": analysis.t_ave_proposed(l, mode="exact" if exact else "float"),
+        "prop_max": worst,
+        "nested_avg": analysis.nested_closed_forms(l)[1],
+        "nested_max": worst,
+        "lb_avg": bounds.ave_lb,
+        "lb_max": bounds.worst_lb,
+    }
 
-    if args.mode == "exact":
-        prop_txt = f"{rational_str(prop_avg)} ({float(prop_avg):.6f})"
-        nested_txt = f"{rational_str(nested_avg)} ({float(nested_avg):.6f})"
-        prop_json: object = rational_str(prop_avg)
-        nested_json: object = rational_str(nested_avg)
-    else:
-        prop_txt = f"{float(prop_avg):.6f}"
-        nested_txt = f"{float(nested_avg):.6f}"
-        prop_json = float(prop_avg)
-        nested_json = float(nested_avg)
 
+def _json_row(row: dict) -> dict:
+    """A row ready for ``json.dumps``: rationals become ``num/den`` strings."""
+    return {
+        key: rational_str(value) if isinstance(value, Fraction) else value
+        for key, value in row.items()
+    }
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    exact = args.mode == "exact"
+    row = _size_row(args.l, exact)
+    if not exact:
+        row["nested_avg"] = float(row["nested_avg"])
     if args.json:
-        doc = {
-            "l": l,
-            "n": size.n,
-            "mode": args.mode,
-            "prop_avg": prop_json,
-            "prop_max": worst,
-            "nested_avg": nested_json,
-            "nested_max": worst,
-            "lb_avg": bounds.ave_lb,
-            "lb_max": bounds.worst_lb,
-        }
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps({**_json_row(row), "mode": args.mode}, sort_keys=True))
         return 0
-    print(f"l {l}")
-    print(f"n {size.n}")
-    print(f"prop_avg {prop_txt}")
-    print(f"prop_max {worst}")
-    print(f"nested_avg {nested_txt}")
-    print(f"nested_max {worst}")
-    print(f"lb_avg {bounds.ave_lb:.4f}")
-    print(f"lb_max {bounds.worst_lb:.4f}")
+    for key, value in row.items():
+        if key in ("lb_avg", "lb_max"):
+            value = f"{value:.4f}"
+        elif isinstance(value, Fraction):
+            value = f"{rational_str(value)} ({float(value):.6f})"
+        elif isinstance(value, float):
+            value = f"{value:.6f}"
+        print(key, value)
     return 0
 
 
@@ -182,8 +187,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-_CSV_BASE = "l,n,prop_avg,prop_max,nested_avg,nested_max,lb_avg,lb_max"
-_CSV_SIM = ",sim_prop_avg,sim_nested_avg"
+def _csv_cell(value: int | Fraction | float | None) -> str:
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else sig6(value)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -192,31 +199,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CoinWeighError(f"--l-max must be >= 2 for a sweep, got {l_max}")
     # Reject a top size too large for binary64 before any row is built.
     analysis.lower_bounds(1 << l_max)
+    # A bad --threads is a usage error even when no pool would start.
+    if args.threads is not None:
+        verify._resolve_threads(args.threads)
 
-    rows = []
-    fit_points: list[tuple[int, float]] = []
-    for l in range(1, l_max + 1):
-        n = 1 << l
-        # Rows that exhaustive runs can certify stay exact rationals.
-        if l <= ENUMERATION_CAP_L:
-            prop_avg: Fraction | float = analysis.t_ave_proposed(l)
-        else:
-            prop_avg = analysis.t_ave_proposed(l, mode="float")
-        nested_avg = analysis.nested_closed_forms(l)[1]
-        bounds = analysis.lower_bounds(n)
-        worst = analysis.t_max(l)
-        fit_points.append((l, float(prop_avg)))
-        row = {
-            "l": l,
-            "n": n,
-            "prop_avg": prop_avg,
-            "prop_max": worst,
-            "nested_avg": nested_avg,
-            "nested_max": worst,
-            "lb_avg": bounds.ave_lb,
-            "lb_max": bounds.worst_lb,
-        }
-        rows.append(row)
+    # Rows that exhaustive runs can certify stay exact rationals.
+    rows = [_size_row(l, l <= ENUMERATION_CAP_L) for l in range(1, l_max + 1)]
     if args.simulate:
         # Only a simulated sweep starts workers, all in one shared pool.
         with verify.worker_pool(args.threads):
@@ -232,27 +220,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     row["sim_prop_avg"] = None
                     row["sim_nested_avg"] = None
 
-    lines = [_CSV_BASE + (_CSV_SIM if args.simulate else "")]
-    for row in rows:
-        cells = [
-            str(row["l"]),
-            str(row["n"]),
-            sig6(row["prop_avg"]),
-            str(row["prop_max"]),
-            sig6(row["nested_avg"]),
-            str(row["nested_max"]),
-            sig6(row["lb_avg"]),
-            sig6(row["lb_max"]),
-        ]
-        if args.simulate:
-            for key in ("sim_prop_avg", "sim_nested_avg"):
-                cells.append("" if row[key] is None else sig6(row[key]))
-        lines.append(",".join(cells))
+    lines = [",".join(rows[0])]
+    lines += [",".join(map(_csv_cell, row.values())) for row in rows]
 
     fit_lines: list[str] = []
     if args.fit:
         lo = l_max // 2 + 1
-        result = verify.fit_loglinear(lo, l_max, fit_points)
+        result = verify.fit_loglinear(
+            lo, l_max, [(row["l"], float(row["prop_avg"])) for row in rows]
+        )
         # The percentages are the fixed reference comparisons from the named
         # trend-line constants, not ratios of the fitted slope; the fit line
         # above them reports what this sweep actually measured.
@@ -270,18 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         handle.write(text)
 
     if args.json:
-        doc = [
-            {
-                key: (
-                    rational_str(value)
-                    if isinstance(value, Fraction)
-                    else value
-                )
-                for key, value in row.items()
-            }
-            for row in rows
-        ]
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps([_json_row(row) for row in rows], sort_keys=True))
     else:
         print(f"wrote {args.out} ({len(rows)} rows)")
         for line in fit_lines:

@@ -18,7 +18,7 @@ A CLI run opens one ``worker_pool`` around all of its sizes, and every
 ``exhaustive_stats`` call inside it sends its chunks to that one pool; a
 call outside any ``worker_pool`` opens a pool for itself.  ``cross_check``
 sends the chunks of both strategies before it waits on either, so the pool
-does not drain between them.  The pool never outlives the block that
+does not drain between them, and computes its analytic side while they run.  The pool never outlives the block that
 opened it.
 """
 
@@ -132,20 +132,19 @@ def _resolve_threads(threads: int | None) -> int:
     The count is clamped to the CPUs this process may run on, so a large
     request never forks more workers than can run at once.
     """
-    if threads is not None:
-        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-            raise InvalidSizeError(f"threads must be an integer >= 1, got {threads!r}")
-        return min(threads, _usable_cpus())
-    env = os.environ.get("CW_THREADS")
-    if env is not None:
+    name = "threads"
+    if threads is None:
+        env = os.environ.get("CW_THREADS")
+        if env is None:
+            return _usable_cpus()
+        name, threads = "CW_THREADS", env
         try:
-            value = int(env)
+            threads = int(env)
         except ValueError:
-            raise InvalidSizeError(f"CW_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise InvalidSizeError(f"CW_THREADS must be >= 1, got {value}")
-        return min(value, _usable_cpus())
-    return _usable_cpus()
+            pass  # left a str, which the one check below rejects
+    if type(threads) is not int or threads < 1:
+        raise InvalidSizeError(f"{name} must be an integer >= 1, got {threads!r}")
+    return min(threads, _usable_cpus())
 
 
 _Partial = tuple[int, int, int, dict[int, list[int]]]
@@ -323,24 +322,30 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
     informational only: inside a class the analytic value and the empirical
     conditional mean legitimately disagree.  The chunks of both strategies
     go to one ``worker_pool`` (the open one, or one opened for this call)
-    as one batch.  Past the enumeration cap it raises ``TooLargeError``
-    before any worker starts.
+    as one batch, and every analytic value is computed while they run.
+    Past the enumeration cap it raises ``TooLargeError`` before any worker
+    starts.
     """
     n = ProblemSize.from_exponent(l).n
     require_enumerable(n)
     with worker_pool(threads):
         # Both strategies' chunks go to the pool before either is awaited,
-        # so it does not drain between them.
+        # so it does not drain between them, and the analytic side runs
+        # while the workers execute them.
         for strategy in ("proposed", "nested"):
             _open_pool.queued[(n, strategy)] = _submit(n, strategy)
+        analytic_avg = analysis.t_ave_proposed(l)
+        nested_closed = analysis.nested_closed_forms(l)[1]
+        nested_log_form = Fraction((2 * n + 1) * l - 2 * (n - 1), n + 1)
+        nested_dp = analysis.nested_tables(n).opt2[n]
+        predicted_max = analysis.t_max(l)
+        table = analysis.t_table(l)
+        # Every separation class 0 <= δ < n occurs among the configurations.
+        delta_analytic = [
+            analysis.t_given_delta(l, delta, table) for delta in range(n)
+        ]
         proposed = exhaustive_stats(n, "proposed", threads=threads)
         nested = exhaustive_stats(n, "nested", threads=threads)
-
-    analytic_avg = analysis.t_ave_proposed(l)
-    nested_closed = analysis.nested_closed_forms(l)[1]
-    nested_log_form = Fraction((2 * n + 1) * l - 2 * (n - 1), n + 1)
-    nested_dp = analysis.nested_tables(n).opt2[n]
-    predicted_max = analysis.t_max(l)
 
     avg_equal = analytic_avg == proposed.average
     nested_equal = nested_closed == nested_log_form == nested_dp == nested.average
@@ -365,11 +370,10 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
             f"{proposed.max_weighings}, nested {nested.max_weighings}"
         )
 
-    table = analysis.t_table(l)
     per_delta = tuple(
         PerDeltaRow(
             delta=delta,
-            analytic=analysis.t_given_delta(l, delta, table),
+            analytic=delta_analytic[delta],
             empirical=mean,
             configs=cfgs,
         )

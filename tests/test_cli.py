@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -284,6 +285,13 @@ class TestVerify:
         assert pool_log == {"created": 1, "cancelled": [True]}
         assert_no_pool_survives()
 
+    def test_bad_threads_usage_error(self, capsys, pool_log):
+        code, out, err = run(capsys, "verify", "--l-max", "4", "--threads", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: threads must be an integer >= 1, got 0\n"
+        assert pool_log == {"created": 0, "cancelled": []}
+
     @pytest.mark.parametrize("threads, pools", [("2", 1), ("1", 0)])
     def test_one_pool_per_run(self, capsys, pool_log, threads, pools):
         code, _, _ = run(capsys, "verify", "--l-max", "6", "--threads", threads)
@@ -352,6 +360,25 @@ class TestSweep:
         assert pool_log == {"created": pools, "cancelled": [False] * pools}
         assert_no_pool_survives()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--threads", "0"],
+            ["--threads", "-3"],
+            ["--threads", "0", "--simulate"],
+        ],
+    )
+    def test_bad_threads_usage_error(self, capsys, tmp_path, pool_log, argv):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, "sweep", "--l-max", "4", *argv, "--out", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: threads must be an integer >= 1, got {argv[1]}\n"
+        assert not out_path.exists()
+        assert pool_log == {"created": 0, "cancelled": []}
+
     def test_l_max_1_usage_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "--l-max", "1", "--out", str(tmp_path / "x.csv")
@@ -386,3 +413,75 @@ class TestSweep:
         assert len(doc) == 4
         assert doc[1]["prop_avg"] == "11/5"
         assert doc[3]["prop_max"] == 7
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedOutput:
+    """sha256 of what each command prints, and of the CSV a sweep writes,
+    so that any changed byte fails.  A sweep's text stdout names its output
+    path, so there only the CSV is pinned."""
+
+    @pytest.mark.parametrize(
+        "argv, stdout_digest",
+        [
+            (
+                ["analyze", "--l", "12"],
+                "0cf9b1f467246eb0ca9924fa633e9a317623a25fa325f457f677a9b6becc4da7",
+            ),
+            (
+                ["analyze", "--l", "2", "--json"],
+                "91aba2b817750e8fee51311df9f401555680e0f37c51ef331c5bf72705929450",
+            ),
+            (
+                ["analyze", "--l", "13"],
+                "08d82dcfd8f73608d40ae214cdfa74827abe655725a640ae6f08a400ce5181dc",
+            ),
+            (
+                ["analyze", "--l", "20", "--mode", "float"],
+                "b1db5041cee324f571d44efa581b1fd35ae10d54f5cb1b4f51dfe71f2fd0cc43",
+            ),
+            (
+                ["analyze", "--l", "20", "--mode", "float", "--json"],
+                "4fe297d98ec62c323a04a419c866e7c6a14ff23032d82750ad1cdf232e25c4d6",
+            ),
+            (
+                ["verify", "--l-max", "8", "--threads", "2"],
+                "89b8639fabb9984a68ba8945e01f2c999c1ba20089ed20a147d130a308983d46",
+            ),
+        ],
+    )
+    def test_stdout(self, capsys, argv, stdout_digest):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert sha256(out.encode("utf-8")) == stdout_digest
+
+    @pytest.mark.parametrize(
+        "argv, stdout_digest, csv_digest",
+        [
+            (
+                ["--l-max", "20", "--fit"],
+                None,
+                "bcdf362afc18a6ebb8377d57e5ba80e2ca56424f37274740151b61a01a49022d",
+            ),
+            (
+                ["--l-max", "14", "--fit", "--json"],
+                "9a98cc7a0e62d3b152a84b2ea6770e1d0cd7e982c264e1271c36337a843cdcea",
+                "8677842df55b2b6c843f46022ebb914a4625b7c63b700e96b6bd18aa2f01e34d",
+            ),
+            (
+                ["--l-max", "6", "--simulate", "--fit", "--json", "--threads", "2"],
+                "12bec550f4bc0ffde29ea5c36e08d985bd99b6b0bf82178508cd0587e6a13591",
+                "d53f88ee3e60f17c72a859dc5a91a07a1f1e5025755449c4cb804d79293c5147",
+            ),
+        ],
+    )
+    def test_sweep(self, capsys, tmp_path, argv, stdout_digest, csv_digest):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", *argv, "--out", str(out_path))
+        assert (code, err) == (0, "")
+        if stdout_digest is not None:
+            assert sha256(out.encode("utf-8")) == stdout_digest
+        assert sha256(out_path.read_bytes()) == csv_digest

@@ -90,11 +90,15 @@ class TestExhaustiveStats:
         from_env = exhaustive_stats(16, "nested")
         assert rows_equal(from_env, exhaustive_stats(16, "nested", threads=1))
 
-    def test_rejects_bad_threads(self):
+    def test_rejects_bad_threads(self, monkeypatch):
         with pytest.raises(InvalidSizeError):
             exhaustive_stats(4, "proposed", threads=0)
         with pytest.raises(InvalidSizeError):
             exhaustive_stats(4, "proposed", threads=True)
+        for env in ("0", "-3", "two"):
+            monkeypatch.setenv("CW_THREADS", env)
+            with pytest.raises(InvalidSizeError, match="^CW_THREADS must"):
+                exhaustive_stats(4, "proposed")
 
 
 @pytest.fixture
@@ -167,6 +171,38 @@ class TestWorkerPool:
             {(strategy, 136 * k // 8, 136 * (k + 1) // 8) for k in range(8)}
             for strategy in ("proposed", "nested")
         ]
+
+    def test_cross_check_computes_analytic_side_before_reading(
+        self, monkeypatch, recording_pool
+    ):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        events = []
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(verify, "_worker", logged("chunk", verify._worker))
+        analytic = (
+            "t_ave_proposed",
+            "nested_closed_forms",
+            "nested_tables",
+            "t_max",
+            "t_table",
+            "t_given_delta",
+        )
+        for name in analytic:
+            monkeypatch.setattr(
+                verify.analysis, name, logged(name, getattr(verify.analysis, name))
+            )
+        assert cross_check(3, threads=2).ok
+        first_chunk = events.index("chunk")
+        assert set(events[:first_chunk]) == set(analytic)
+        assert events[:first_chunk].count("t_given_delta") == 8
+        assert set(events[first_chunk:]) == {"chunk"}
 
     def test_shared_pool_rows_match_in_process(self, monkeypatch):
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
