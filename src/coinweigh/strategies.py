@@ -8,13 +8,23 @@ differ in how they spend the average case:
   of known total weight; when a weighing splits weight 1 / 1 across two
   halves it hands off to Π1, which shrinks the two weight-1 regions in
   lockstep with a single weighing per round; Π2 resolves the ambiguous
-  outcome of Π1 with one more weighing that is shared between the regions.
-  The joint rounds are what push the average below 1.5 log2(n).
+  outcome of Π1 with one more weighing that is shared between the regions,
+  and hands the narrowed regions back to Π1.  Once one region is a single
+  coin, Π0 bisects the other with weight 1.  The joint rounds are what push
+  the average below 1.5 log2(n).
 
 * ``run_nested`` is classic nested bisection: every weighing is a subset of
   the region the previous weighing pinned down, so type-II configurations
   are resolved one coin at a time.  It works for every n >= 2, powers of two
   or not.
+
+Each hand-off is the last step of the procedure that makes it, so each
+core is a flat loop, not a set of recursive procedures.  ``_proposed_core``
+runs Π0 on weight 2 as one loop and then a joint-round loop, where a Π1 or
+Π2 hand-off replaces the two regions in place.  When Π1 finds a region
+narrowed to a single coin, that coin needs no weighing, so the closing Π0 on
+weight 1 is one loop on the other region.  ``_nested_core`` keeps a stack of
+the regions still to be bisected.
 
 In both strategies every region is one run of consecutive coins and every
 query is the union of at most two runs.  So each strategy has a private core
@@ -80,36 +90,45 @@ def _proposed_core(
 
     Returns the (runs, outcome) pairs in the order asked and the recovered
     support.  A region is the run [lo, hi) and is split at its midpoint.
-    Resolved coins go into ``found`` once per unit of weight, so a coin of
-    weight 2 fills both ends of the support.
+
+    The procedures run as loop phases, and each hand-off replaces the
+    regions in place:
+
+    * Π0 bisects [1, n + 1), of weight 2, until a single coin holds both
+      units (returned at once) or a weighing splits the weight 1 / 1, which
+      hands the two halves a and b to the joint rounds.
+    * Each pass of the joint-round loop is one Π1 round on a and b, each of
+      weight 1.  Outcome 0 or 2 keeps both upper or both lower halves.
+      Outcome 1 is Π2's tie-break, which asks one more weighing and hands
+      new regions back to Π1; when a and b both have two coins that
+      weighing settles all four, and the support is returned.
+    * Once a or b is a single coin, that coin is known and the loop ends;
+      Π0 bisects the other region with weight 1.
     """
     queries: list[tuple[Runs, int]] = []
-    found: list[int] = []
+    record = queries.append
 
-    def ask(runs: Runs) -> int:
-        outcome = weigh_runs(p, q, runs)
-        queries.append((runs, outcome))
-        return outcome
-
-    def pi0(lo: int, hi: int, w: int) -> None:
-        # Known: w([lo, hi)) = w, either 1 or 2.
+    # Π0 on weight 2.
+    lo, hi = 1, n + 1
+    while True:
         if hi - lo == 1:
-            found.extend((lo,) * w)
-            return
+            return queries, (lo, lo)
         mid = (lo + hi) // 2
-        o = ask(((lo, mid),))
+        runs = ((lo, mid),)
+        o = weigh_runs(p, q, runs)
+        record((runs, o))
         if o == 0:
-            pi0(mid, hi, w)
-        elif o == w:
-            pi0(lo, mid, w)
-        elif w == 2:
-            # Weight split 1 / 1 across the halves.
-            pi1(lo, mid, mid, hi)
+            lo = mid
+        elif o == 2:
+            hi = mid
         else:
-            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
+            # Weight split 1 / 1 across the halves.
+            break
 
-    def pi1(alo: int, ahi: int, blo: int, bhi: int) -> None:
-        # Known: w(a) = w(b) = 1 for a = [alo, ahi) and b = [blo, bhi).
+    # Joint rounds.  Known on entry to each pass: w(a) = w(b) = 1 for
+    # a = [alo, ahi) and b = [blo, bhi).
+    alo, ahi, blo, bhi = lo, mid, mid, hi
+    while True:
         if debug and (
             weigh_runs(p, q, ((alo, ahi),)),
             weigh_runs(p, q, ((blo, bhi),)),
@@ -118,54 +137,68 @@ def _proposed_core(
                 f"joint round on [{alo}, {ahi}), [{blo}, {bhi}): not 1 each"
             )
         if ahi - alo == 1 or bhi - blo == 1:
-            # A singleton is resolved without a weighing; bisect the other.
-            pi0(alo, ahi, 1)
-            pi0(blo, bhi, 1)
-            return
+            break
         amid = (alo + ahi) // 2
         bmid = (blo + bhi) // 2
-        o = ask(_union(alo, amid, blo, bmid))
+        runs = _union(alo, amid, blo, bmid)
+        o = weigh_runs(p, q, runs)
+        record((runs, o))
         if o == 0:
-            pi1(amid, ahi, bmid, bhi)
-        elif o == 2:
-            pi1(alo, amid, blo, bmid)
-        else:
-            pi2(alo, ahi, blo, bhi)
+            alo, blo = amid, bmid
+            continue
+        if o == 2:
+            ahi, bhi = amid, bmid
+            continue
 
-    def pi2(alo: int, ahi: int, blo: int, bhi: int) -> None:
-        # Known: w(a) = w(b) = 1 and the joined lower halves weigh 1, so one
-        # coin sits in a lower half and the other in an upper half.
-        if debug and weigh_runs(
-            p, q, _union(alo, (alo + ahi) // 2, blo, (blo + bhi) // 2)
-        ) != 1:
+        # Π2.  Known: the joined lower halves weigh 1, so one coin sits in a
+        # lower half and the other in an upper half.
+        if debug and weigh_runs(p, q, runs) != 1:
             raise InternalContractError(
                 f"tie-break on [{alo}, {ahi}), [{blo}, {bhi}): lower not 1"
             )
         if ahi - alo == 2 and bhi - blo == 2:
             # One weighing settles all four coins.
-            o = ask(((alo, alo + 1),))
+            runs = ((alo, alo + 1),)
+            o = weigh_runs(p, q, runs)
+            record((runs, o))
             if o not in (0, 1):
-                raise InternalContractError(f"singleton weighed {o} in a joint round")
-            found.extend((alo, bhi - 1) if o else (alo + 1, blo))
-            return
+                raise InternalContractError(
+                    f"singleton weighed {o} in a joint round"
+                )
+            c, d = (alo, bhi - 1) if o else (alo + 1, blo)
+            return queries, (c, d) if c < d else (d, c)
         if bhi - blo < ahi - alo:
-            alo, ahi, blo, bhi = blo, bhi, alo, ahi
-        amid = (alo + ahi) // 2
-        bmid = (blo + bhi) // 2
+            alo, ahi, amid, blo, bhi, bmid = blo, bhi, bmid, alo, ahi, amid
         bqtr = (bmid + bhi) // 2
-        o = ask(_union(alo, amid, bmid, bqtr))
+        runs = _union(alo, amid, bmid, bqtr)
+        o = weigh_runs(p, q, runs)
+        record((runs, o))
         if o == 0:
-            pi1(amid, ahi, blo, bmid)
+            alo, bhi = amid, bmid
         elif o == 1:
             # a's lower half holds its coin (else outcome 0 or 2), so b's
             # coin is in the top quarter of b.
-            pi1(alo, amid, bqtr, bhi)
+            ahi, blo = amid, bqtr
         else:
-            pi1(alo, amid, bmid, bqtr)
+            ahi, blo, bhi = amid, bmid, bqtr
 
-    pi0(1, n + 1, 2)
-    lo_coin, hi_coin = sorted(found)
-    return queries, (lo_coin, hi_coin)
+    # Π0 on weight 1 on the region that is not yet a single coin.
+    if ahi - alo == 1:
+        coin, lo, hi = alo, blo, bhi
+    else:
+        coin, lo, hi = blo, alo, ahi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        runs = ((lo, mid),)
+        o = weigh_runs(p, q, runs)
+        record((runs, o))
+        if o == 0:
+            lo = mid
+        elif o == 1:
+            hi = mid
+        else:
+            raise InternalContractError(f"w(s)=1 but weighed {o} on a half")
+    return queries, (coin, lo) if coin < lo else (lo, coin)
 
 
 def _nested_core(
@@ -175,30 +208,32 @@ def _nested_core(
 
     Returns the (runs, outcome) pairs in the order asked and the recovered
     support.  Every query is the lower half of the region it refines.
+    ``pending`` holds the regions (lo, hi, w) of known weight w still to be
+    bisected.  A 1 / 1 split pushes the upper half and keeps bisecting the
+    lower one, so the queries come out in depth-first order.
     """
     queries: list[tuple[Runs, int]] = []
     found: list[int] = []
-
-    def solve(lo: int, hi: int, w: int) -> None:
-        # Known: w([lo, hi)) = w >= 1.
-        if hi - lo == 1:
-            found.extend((lo,) * w)
-            return
-        mid = (lo + hi) // 2
-        runs = ((lo, mid),)
-        o = weigh_runs(p, q, runs)
-        queries.append((runs, o))
-        if o == 0:
-            solve(mid, hi, w)
-        elif o == w:
-            solve(lo, mid, w)
-        elif w == 2 and o == 1:
-            solve(lo, mid, 1)
-            solve(mid, hi, 1)
-        else:
-            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
-
-    solve(1, n + 1, 2)
+    pending = [(1, n + 1, 2)]
+    while pending:
+        lo, hi, w = pending.pop()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            runs = ((lo, mid),)
+            o = weigh_runs(p, q, runs)
+            queries.append((runs, o))
+            if o == 0:
+                lo = mid
+            elif o == w:
+                hi = mid
+            elif w == 2 and o == 1:
+                pending.append((mid, hi, 1))
+                hi, w = mid, 1
+            else:
+                raise InternalContractError(
+                    f"w(s)={w} but weighed {o} on a half"
+                )
+        found.extend((lo,) * w)
     lo_coin, hi_coin = sorted(found)
     return queries, (lo_coin, hi_coin)
 

@@ -18,8 +18,8 @@ A CLI run opens one ``worker_pool`` around all of its sizes, and every
 ``exhaustive_stats`` call inside it sends its chunks to that one pool; a
 call outside any ``worker_pool`` opens a pool for itself.  ``cross_check``
 sends the chunks of both strategies before it waits on either, so the pool
-does not drain between them, and computes its analytic side while they run.  The pool never outlives the block that
-opened it.
+does not drain between them, and computes its analytic side while they
+run.  The pool never outlives the block that opened it.
 """
 
 from __future__ import annotations
@@ -171,10 +171,11 @@ def worker_pool(threads: int | None = None) -> Iterator[None]:
 
     The worker count is resolved once, as for ``exhaustive_stats``; with one
     worker no process starts.  A block opened inside another checks
-    ``threads`` and joins the outer pool.  On leaving the block the pool is shut down, and when an exception
-    leaves it (a failed check, a broken pool, Ctrl-C) its queued chunks are
-    cancelled first.  The pool never outlives the block, so its workers
-    never run code older than the call that opened it.
+    ``threads`` and joins the outer pool.  On leaving the block the pool is
+    shut down, and when an exception leaves it (a failed check, a broken
+    pool, Ctrl-C) its queued chunks are cancelled first.  The pool never
+    outlives the block, so its workers never run code older than the call
+    that opened it.
     """
     global _open_pool
     workers = _resolve_threads(threads)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,8 +19,10 @@ from coinweigh.model import (
     InvalidSizeError,
     delta_of,
     enumerate_configs,
+    iter_supports,
     validate_subset,
     weigh,
+    weigh_runs,
 )
 from coinweigh.strategies import (
     Transcript,
@@ -91,6 +94,18 @@ class TestProposed:
             strategies, "weigh_runs", lambda p, q, runs: next(answers, 0)
         )
         with pytest.raises(InternalContractError):
+            run_proposed(Configuration.type_two(4, 1, 3), debug=True)
+
+    def test_debug_mode_rejects_lying_tie_break(self, monkeypatch):
+        # The oracle reports a 1 / 1 split, both halves of weight 1 at the
+        # joint round's entry and 1 for the joined lower halves, then 0 when
+        # Π2 re-weighs those lower halves.  Only Π2's check can fail; without
+        # it the 2 x 2 tie-break would settle on the wrong support (2, 3).
+        answers = iter([1, 1, 1, 1])
+        monkeypatch.setattr(
+            strategies, "weigh_runs", lambda p, q, runs: next(answers, 0)
+        )
+        with pytest.raises(InternalContractError, match="tie-break"):
             run_proposed(Configuration.type_two(4, 1, 3), debug=True)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
@@ -246,6 +261,200 @@ class TestTranscriptSubsets:
             assert_subsets_sliced(transcript, queries, n)
             # Grown for n = 5000, then reused, not shrunk, for n = 8.
             assert len(strategies._POSITIONS) == 5001
+
+
+# The recursive cores the loop cores replaced, with their ``_union``, kept as
+# the reference they must match: Π0, Π1 and Π2 as mutually recursive
+# closures, and nested bisection as one recursive closure.  Their logic and
+# messages are unchanged; only annotations and comments were dropped.  They
+# weigh through this module's ``weigh_runs``, so a test can patch it
+# alongside ``strategies.weigh_runs``.
+def _union(alo, ahi, blo, bhi):
+    if alo < blo:
+        return ((alo, ahi), (blo, bhi))
+    return ((blo, bhi), (alo, ahi))
+
+
+def recursive_proposed_core(n, p, q, debug=False):
+    queries = []
+    found = []
+
+    def ask(runs):
+        outcome = weigh_runs(p, q, runs)
+        queries.append((runs, outcome))
+        return outcome
+
+    def pi0(lo, hi, w):
+        if hi - lo == 1:
+            found.extend((lo,) * w)
+            return
+        mid = (lo + hi) // 2
+        o = ask(((lo, mid),))
+        if o == 0:
+            pi0(mid, hi, w)
+        elif o == w:
+            pi0(lo, mid, w)
+        elif w == 2:
+            pi1(lo, mid, mid, hi)
+        else:
+            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
+
+    def pi1(alo, ahi, blo, bhi):
+        if debug and (
+            weigh_runs(p, q, ((alo, ahi),)),
+            weigh_runs(p, q, ((blo, bhi),)),
+        ) != (1, 1):
+            raise InternalContractError(
+                f"joint round on [{alo}, {ahi}), [{blo}, {bhi}): not 1 each"
+            )
+        if ahi - alo == 1 or bhi - blo == 1:
+            pi0(alo, ahi, 1)
+            pi0(blo, bhi, 1)
+            return
+        amid = (alo + ahi) // 2
+        bmid = (blo + bhi) // 2
+        o = ask(_union(alo, amid, blo, bmid))
+        if o == 0:
+            pi1(amid, ahi, bmid, bhi)
+        elif o == 2:
+            pi1(alo, amid, blo, bmid)
+        else:
+            pi2(alo, ahi, blo, bhi)
+
+    def pi2(alo, ahi, blo, bhi):
+        if debug and weigh_runs(
+            p, q, _union(alo, (alo + ahi) // 2, blo, (blo + bhi) // 2)
+        ) != 1:
+            raise InternalContractError(
+                f"tie-break on [{alo}, {ahi}), [{blo}, {bhi}): lower not 1"
+            )
+        if ahi - alo == 2 and bhi - blo == 2:
+            o = ask(((alo, alo + 1),))
+            if o not in (0, 1):
+                raise InternalContractError(f"singleton weighed {o} in a joint round")
+            found.extend((alo, bhi - 1) if o else (alo + 1, blo))
+            return
+        if bhi - blo < ahi - alo:
+            alo, ahi, blo, bhi = blo, bhi, alo, ahi
+        amid = (alo + ahi) // 2
+        bmid = (blo + bhi) // 2
+        bqtr = (bmid + bhi) // 2
+        o = ask(_union(alo, amid, bmid, bqtr))
+        if o == 0:
+            pi1(amid, ahi, blo, bmid)
+        elif o == 1:
+            pi1(alo, amid, bqtr, bhi)
+        else:
+            pi1(alo, amid, bmid, bqtr)
+
+    pi0(1, n + 1, 2)
+    lo_coin, hi_coin = sorted(found)
+    return queries, (lo_coin, hi_coin)
+
+
+def recursive_nested_core(n, p, q):
+    queries = []
+    found = []
+
+    def solve(lo, hi, w):
+        if hi - lo == 1:
+            found.extend((lo,) * w)
+            return
+        mid = (lo + hi) // 2
+        runs = ((lo, mid),)
+        o = weigh_runs(p, q, runs)
+        queries.append((runs, o))
+        if o == 0:
+            solve(mid, hi, w)
+        elif o == w:
+            solve(lo, mid, w)
+        elif w == 2 and o == 1:
+            solve(lo, mid, 1)
+            solve(mid, hi, 1)
+        else:
+            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
+
+    solve(1, n + 1, 2)
+    lo_coin, hi_coin = sorted(found)
+    return queries, (lo_coin, hi_coin)
+
+
+def supports(n: int):
+    """Hypothesis strategy for one support (p, q) of n coins, p <= q."""
+    return st.integers(1, n).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(p, n))
+    )
+
+
+def run_on_oracle(core, answers, *args):
+    """Run ``core`` with every weighing answered from ``answers`` (0 once they
+    run out); return its result, or the message of the contract error it
+    raised."""
+    replies = iter(answers)
+
+    def oracle(p, q, runs):
+        return next(replies, 0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(strategies, "weigh_runs", oracle)
+        patch.setattr(sys.modules[__name__], "weigh_runs", oracle)
+        try:
+            return core(*args)
+        except InternalContractError as exc:
+            return f"InternalContractError: {exc}"
+
+
+class TestLoopCoresMatchRecursive:
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_proposed_every_support(self, l):
+        n = 1 << l
+        debug = l <= 6
+        for p, q in iter_supports(n):
+            assert strategies._proposed_core(
+                n, p, q, debug
+            ) == recursive_proposed_core(n, p, q, debug), (p, q)
+
+    def test_nested_every_support(self):
+        for n in range(2, 65):
+            for p, q in iter_supports(n):
+                assert strategies._nested_core(
+                    n, p, q
+                ) == recursive_nested_core(n, p, q), (n, p, q)
+
+    @given(supports(4096), st.booleans())
+    def test_proposed_n4096(self, support, debug):
+        assert strategies._proposed_core(
+            4096, *support, debug
+        ) == recursive_proposed_core(4096, *support, debug)
+
+    @given(st.data())
+    def test_nested_n4096_and_non_powers_of_two(self, data):
+        n = data.draw(
+            st.one_of(
+                st.just(4096),
+                st.integers(3, 4095).filter(lambda n: n & (n - 1)),
+            )
+        )
+        p, q = data.draw(supports(n))
+        assert strategies._nested_core(n, p, q) == recursive_nested_core(
+            n, p, q
+        )
+
+    @given(
+        st.integers(1, 6),
+        st.booleans(),
+        st.lists(st.integers(-1, 3), max_size=30),
+    )
+    def test_same_queries_and_errors_on_any_oracle(self, l, debug, answers):
+        # Any sequence of outcomes, true or not, yields the same queries and
+        # support, or the same contract error, including both debug checks.
+        n = 1 << l
+        assert run_on_oracle(
+            strategies._proposed_core, answers, n, 1, n, debug
+        ) == run_on_oracle(recursive_proposed_core, answers, n, 1, n, debug)
+        assert run_on_oracle(
+            strategies._nested_core, answers, n + 1, 1, n
+        ) == run_on_oracle(recursive_nested_core, answers, n + 1, 1, n)
 
 
 # sha256 of the concatenated ``trace`` text of every transcript at one size,
