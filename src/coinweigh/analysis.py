@@ -2,7 +2,11 @@
 
 Everything here is closed-form or recursive arithmetic; no strategy is ever
 executed.  Results are rationals; the float mode of ``t_ave_proposed`` is
-the binary64 rounding of the exact value.
+the binary64 rounding of the exact value.  The recursions themselves run
+on integers: each table holds its values times a fixed denominator (4**l
+for the joint-round table, the number of placements for the nested
+tables), and a ``Fraction`` is formed only where a public value is
+returned.
 
 The halving scheme's average for n = 2**l coins follows a depth law.  The n
 weight-2 configurations take l weighings each.  The pair configurations
@@ -15,9 +19,10 @@ d_n = min(d, n - d) and are linear in d_n up to the first depth whose half
 no longer fits the class.
 
 The nested strategy's average satisfies a divide-and-conquer recursion in
-hypergeometric split probabilities alpha, each a ratio of falling powers;
-its optimum is attained by the midpoint split, giving closed forms at powers
-of two.
+hypergeometric split probabilities alpha, each a ratio of falling powers.
+Multiplied through by the number of placements of the coins sought, it
+becomes a recursion on integer total path lengths.  Its optimum is attained
+by the midpoint split, giving closed forms at powers of two.
 """
 
 from __future__ import annotations
@@ -59,16 +64,18 @@ class TTable:
 
     T[i][j] is the expected number of further weighings once the two unit
     coins are confined to disjoint regions of sizes 2**i and 2**j that are
-    handled jointly.  Stored densely for 0 <= i, j <= l.
+    handled jointly.  Every T[i][j] is dyadic with a denominator dividing
+    4**min(i, j), so the table stores the integers U[i][j] = 4**l T[i][j]
+    densely for 0 <= i, j <= l, and ``value`` forms the one ``Fraction``.
     """
 
     l: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
 
     def value(self, i: int, j: int) -> Fraction:
         if not (0 <= i <= self.l and 0 <= j <= self.l):
             raise InvalidSizeError(f"indices ({i}, {j}) outside 0..{self.l}")
-        return self.entries[i][j]
+        return Fraction(self.numerators[i][j], 4**self.l)
 
 
 def t_table(l: int) -> TTable:
@@ -90,27 +97,35 @@ def t_table(l: int) -> TTable:
     the same rule reproduces the T[1][j] base line, so the whole table is
     the closure of the bases under one rule.  Filled by increasing second
     index, so every dependency, direct or mirrored, is already present.
+
+    The rule runs on the integers U = 4**l T, with the bases scaled alike:
+
+        U[i][k] = (3 U[i-1][k-1] + U[i-1][k-2]) / 4 + 3 * 4**l / 2,
+
+    with U[i-1][k-2] mirrored as above.  Both divisions are exact: T's
+    denominators in row i - 1 divide 4**(i-1), so every entry there is a
+    multiple of 4**(l-i+1), a multiple of 4 since i <= l; and 3 * 4**l is
+    even because i >= 1 forces l >= 1.
     """
     if not isinstance(l, int) or l < 0:
         raise InvalidSizeError(f"table size must be an integer >= 0, got {l!r}")
 
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    one = Fraction(1)
-    t = [[None] * (l + 1) for _ in range(l + 1)]
+    scale = 4**l
+    step = 3 * scale // 2
+    u = [[0] * (l + 1) for _ in range(l + 1)]
     for k in range(l + 1):
         for i in range(k + 1):
             if i == 0:
-                v = k * one
+                v = k * scale
             elif i == k == 1:
-                v = one + half
+                v = step
             else:
-                near = t[i - 1][k - 1]
-                far = t[i - 1][k - 2] if k - 2 >= i - 1 else t[k - 2][i - 1]
-                v = 3 * quarter * near + quarter * far + one + half
-            t[i][k] = v
-            t[k][i] = v
-    return TTable(l=l, entries=tuple(tuple(row) for row in t))
+                near = u[i - 1][k - 1]
+                far = u[i - 1][k - 2] if k - 2 >= i - 1 else u[k - 2][i - 1]
+                v = (3 * near + far) // 4 + step
+            u[i][k] = v
+            u[k][i] = v
+    return TTable(l=l, numerators=tuple(tuple(row) for row in u))
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +152,30 @@ class BranchWeights:
     m: tuple[Fraction, ...]
 
 
-def branch_weights(l: int, delta: int) -> BranchWeights:
-    """Exact branch weights for separation class ``delta`` at size n = 2**l."""
+def _shares(l: int, delta: int) -> tuple[int, int, list[int]]:
+    """Check ``delta`` and return (d_n, h, shares) with m[i] = shares[i] / h."""
     size = ProblemSize.from_exponent(l)
     if not 0 <= delta <= size.n - 1:
         raise InvalidSizeError(f"delta must be in 0..{size.n - 1}, got {delta}")
     dn = min(delta, size.n - delta)
     h = 1 << (l - 1)
-    m = [Fraction(0)] * (l + 1)
+    shares = [0] * (l + 1)
     rest = h  # mass not yet assigned, in units of 1/h
     for i in range(l + 1):
         if i == l or dn >= 1 << (l - i - 1):
-            m[i] = Fraction(rest, h)
+            shares[i] = rest
             break
         share = dn << (i - 1) if i else dn
-        m[i] = Fraction(share, h)
+        shares[i] = share
         rest -= share
-    return BranchWeights(l=l, delta=delta, delta_n=dn, m=tuple(m))
+    return dn, h, shares
+
+
+def branch_weights(l: int, delta: int) -> BranchWeights:
+    """Exact branch weights for separation class ``delta`` at size n = 2**l."""
+    dn, h, shares = _shares(l, delta)
+    m = tuple(Fraction(share, h) for share in shares)
+    return BranchWeights(l=l, delta=delta, delta_n=dn, m=m)
 
 
 def t_given_delta(l: int, delta: int, table: TTable | None = None) -> Fraction:
@@ -162,15 +184,22 @@ def t_given_delta(l: int, delta: int, table: TTable | None = None) -> Fraction:
     Only the probability-weighted aggregate of these values is certified to
     match exhaustive execution; within a class the analytic value and the
     empirical conditional mean can genuinely differ.
+
+    The value is sum_{i<l} m[i] (i + 1 + T[l-i-1][l-i-1]) + m[l] l.  With
+    the branch weights as integer shares m[i] = share_i / h and the table
+    as U = 4**L T, where L = ``table.l`` may exceed l, each term is an
+    integer over h 4**L; the terms are summed as integers and divided once.
     """
-    bw = branch_weights(l, delta)
+    _, h, shares = _shares(l, delta)
     if table is None or table.l < l:
         table = t_table(l)
-    total = Fraction(0)
+    scale = 4**table.l
+    u = table.numerators
+    total = shares[l] * l * scale
     for i in range(l):
-        total += bw.m[i] * (table.value(l - i - 1, l - i - 1) + i + 1)
-    total += bw.m[l] * l
-    return total
+        k = l - i - 1
+        total += shares[i] * ((i + 1) * scale + u[k][k])
+    return Fraction(total, h * scale)
 
 
 def t_ave_proposed(l: int, mode: str = "exact") -> Fraction | float:
@@ -183,18 +212,21 @@ def t_ave_proposed(l: int, mode: str = "exact") -> Fraction | float:
 
         t_ave = (2l + sum_{i<l} 2**(l-i-1) (i + 1 + T[l-i-1][l-i-1])) / (n+1).
 
-    Exact mode returns that Fraction for any l; float mode returns its
-    rounding to the nearest binary64.
+    With the diagonal read as U = 4**l T, the sum is an integer over
+    4**l (n+1), built on integers and divided once.  Exact mode returns
+    that Fraction for any l; float mode returns its rounding to the nearest
+    binary64.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     size = ProblemSize.from_exponent(l)
-    table = t_table(l)
-    total = Fraction(2 * l)
+    u = t_table(l).numerators
+    scale = 4**l
+    total = 2 * l * scale
     for i in range(l):
         k = l - i - 1
-        total += (1 << k) * (i + 1 + table.value(k, k))
-    exact = total / (size.n + 1)
+        total += ((i + 1) * scale + u[k][k]) << k
+    exact = Fraction(total, scale * (size.n + 1))
     return exact if mode == "exact" else float(exact)
 
 
@@ -247,27 +279,54 @@ class NestedTables:
     cheaper (first case s = 6: m = 2 costs 56/15 against 19/5 at the
     midpoint), so there ``opt22``/``opt2`` are upper bounds on the optimum.
     ``split_*`` evaluates any split for comparison.
+
+    The recursions run on integer total path lengths: e1[s] = s opt1[s]
+    sums the weighings over the s equally likely places of one coin, and
+    e22[s] = C(s, 2) opt22[s] over the C(s, 2) places of two.  Multiplying
+    the hypergeometric recursions in ``alpha`` through by s and C(s, 2)
+    clears every denominator; a first weighing of m of the s coins gives
+
+        e1[s]  = e1[s-m] + e1[m] + s,
+        e22[s] = e22[s-m] + e22[m] + C(s, 2) + (s-m) e1[m] + m e1[s-m],
+
+    since every placement pays that weighing, and a pair split across the
+    parts searches each part for one coin once per place of the other.  No
+    step divides.  The public values are opt1 = e1/s, opt22 = e22/C(s, 2)
+    and opt2 = 2(e1 + e22)/(s(s+1)), which is the prior mix
+    (2 opt1 + (s-1) opt22)/(s+1), each formed once as a ``Fraction``; the
+    tables are the midpoint case of the same expressions that ``split_*``
+    evaluate at any m.
     """
 
     def __init__(self, s_max: int):
         if not isinstance(s_max, int) or s_max < 2:
             raise InvalidSizeError(f"need s_max >= 2, got {s_max!r}")
         self.s_max = s_max
-        zero = Fraction(0)
         # Size-1 regions are resolved: every table starts at 0.
-        self.opt1 = [zero] * (s_max + 1)
-        self.opt21 = self.opt1
-        self.opt22 = [zero] * (s_max + 1)
-        self.opt2 = [zero] * (s_max + 1)
-        for s in range(2, s_max + 1):
+        self._e1 = [0] * (s_max + 1)
+        self._e22 = [0] * (s_max + 1)
+        sizes = range(2, s_max + 1)
+        for s in sizes:
             m = s // 2
-            self.opt1[s] = self.split_t1(s, m)
-            self.opt22[s] = self.split_t22(s, m)
-            self.opt2[s] = self._mix(s, self.opt1[s], self.opt22[s])
+            self._e1[s] = self._paths1(s, m)
+            self._e22[s] = self._paths22(s, m)
+        e1, e22 = self._e1, self._e22
+        zero = Fraction(0)
+        self.opt1 = [zero, zero] + [Fraction(e1[s], s) for s in sizes]
+        self.opt21 = self.opt1
+        self.opt22 = [zero, zero] + [Fraction(e22[s], math.comb(s, 2)) for s in sizes]
+        self.opt2 = [zero, zero] + [
+            Fraction(2 * (e1[s] + e22[s]), s * (s + 1)) for s in sizes
+        ]
 
-    @staticmethod
-    def _mix(s: int, v21: Fraction, v22: Fraction) -> Fraction:
-        return Fraction(2, s + 1) * v21 + Fraction(s - 1, s + 1) * v22
+    def _paths1(self, s: int, m: int) -> int:
+        return self._e1[s - m] + self._e1[m] + s
+
+    def _paths22(self, s: int, m: int) -> int:
+        e1, e22 = self._e1, self._e22
+        return (
+            e22[s - m] + e22[m] + math.comb(s, 2) + (s - m) * e1[m] + m * e1[s - m]
+        )
 
     def _require(self, s: int, m: int) -> None:
         if not 2 <= s <= self.s_max:
@@ -278,23 +337,19 @@ class NestedTables:
     def split_t1(self, s: int, m: int) -> Fraction:
         """Expected cost of locating one coin when the first weighing takes m."""
         self._require(s, m)
-        return alpha(s, m, 1, 0) * (self.opt1[s - m] + 1) + alpha(s, m, 1, 1) * (
-            self.opt1[m] + 1
-        )
+        return Fraction(self._paths1(s, m), s)
 
     split_t21 = split_t1
 
     def split_t22(self, s: int, m: int) -> Fraction:
         self._require(s, m)
-        return (
-            alpha(s, m, 2, 0) * (self.opt22[s - m] + 1)
-            + alpha(s, m, 2, 2) * (self.opt22[m] + 1)
-            + 2 * alpha(s, m, 2, 1) * (self.opt1[m] + self.opt1[s - m] + 1)
-        )
+        return Fraction(self._paths22(s, m), math.comb(s, 2))
 
     def split_t2(self, s: int, m: int) -> Fraction:
         self._require(s, m)
-        return self._mix(s, self.split_t1(s, m), self.split_t22(s, m))
+        return Fraction(
+            2 * (self._paths1(s, m) + self._paths22(s, m)), s * (s + 1)
+        )
 
 
 def nested_tables(s_max: int) -> NestedTables:

@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, settings
 
 from coinweigh import verify
 
+pytest_plugins = ("pytester",)
+
 settings.register_profile(
     "suite",
     deadline=None,

@@ -86,6 +86,88 @@ NESTED_AVG = {
 }
 
 
+# The rational routes the integer tables replaced, kept as the reference
+# they must match: the Fraction recursion of ``t_table``, the branch-weight
+# loop and ``t_given_delta`` on Fractions, and the alpha-weighted nested
+# recursion with its ``_mix``.  Their arithmetic is unchanged; only the
+# argument checks were dropped.
+def fraction_t_table(l):
+    half = F(1, 2)
+    quarter = F(1, 4)
+    one = F(1)
+    t = [[None] * (l + 1) for _ in range(l + 1)]
+    for k in range(l + 1):
+        for i in range(k + 1):
+            if i == 0:
+                v = k * one
+            elif i == k == 1:
+                v = one + half
+            else:
+                near = t[i - 1][k - 1]
+                far = t[i - 1][k - 2] if k - 2 >= i - 1 else t[k - 2][i - 1]
+                v = 3 * quarter * near + quarter * far + one + half
+            t[i][k] = v
+            t[k][i] = v
+    return t
+
+
+def fraction_branch_weights(l, delta):
+    n = 1 << l
+    dn = min(delta, n - delta)
+    h = 1 << (l - 1)
+    m = [F(0)] * (l + 1)
+    rest = h
+    for i in range(l + 1):
+        if i == l or dn >= 1 << (l - i - 1):
+            m[i] = F(rest, h)
+            break
+        share = dn << (i - 1) if i else dn
+        m[i] = F(share, h)
+        rest -= share
+    return m
+
+
+def fraction_t_given_delta(l, delta, t):
+    m = fraction_branch_weights(l, delta)
+    total = F(0)
+    for i in range(l):
+        total += m[i] * (t[l - i - 1][l - i - 1] + i + 1)
+    total += m[l] * l
+    return total
+
+
+class FractionNested:
+    def __init__(self, s_max):
+        zero = F(0)
+        self.opt1 = [zero] * (s_max + 1)
+        self.opt22 = [zero] * (s_max + 1)
+        self.opt2 = [zero] * (s_max + 1)
+        for s in range(2, s_max + 1):
+            m = s // 2
+            self.opt1[s] = self.split_t1(s, m)
+            self.opt22[s] = self.split_t22(s, m)
+            self.opt2[s] = self._mix(s, self.opt1[s], self.opt22[s])
+
+    @staticmethod
+    def _mix(s, v21, v22):
+        return F(2, s + 1) * v21 + F(s - 1, s + 1) * v22
+
+    def split_t1(self, s, m):
+        return alpha(s, m, 1, 0) * (self.opt1[s - m] + 1) + alpha(s, m, 1, 1) * (
+            self.opt1[m] + 1
+        )
+
+    def split_t22(self, s, m):
+        return (
+            alpha(s, m, 2, 0) * (self.opt22[s - m] + 1)
+            + alpha(s, m, 2, 2) * (self.opt22[m] + 1)
+            + 2 * alpha(s, m, 2, 1) * (self.opt1[m] + self.opt1[s - m] + 1)
+        )
+
+    def split_t2(self, s, m):
+        return self._mix(s, self.split_t1(s, m), self.split_t22(s, m))
+
+
 class TestTTable:
     def test_base_examples(self):
         table = t_table(3)
@@ -108,6 +190,25 @@ class TestTTable:
         for k in range(201):
             expected = F(4 * k, 3) + F(2, 9) * (1 - F(1, 4**k))
             assert table.value(k, k) == expected, k
+
+    def test_diagonal_pair_closed_forms(self):
+        # D_k = T[k][k] and E_k = T[k][k+1] (ROADMAP item 1), pinned for
+        # k <= 60; a pin of the values, not the coefficient proof.
+        table = t_table(61)
+        for k in range(61):
+            d = F(4 * k, 3) + F(2, 9) * (1 - F(1, 4**k))
+            e = F(4 * k, 3) + F(8, 9) + F(1, 9) * F(1, 4**k)
+            assert table.value(k, k) == d, k
+            assert table.value(k, k + 1) == e, k
+
+    def test_matches_fraction_recursion(self):
+        ref = fraction_t_table(24)
+        for l in range(25):
+            table = t_table(l)
+            assert table.l == l
+            for i in range(l + 1):
+                for j in range(l + 1):
+                    assert table.value(i, j) == ref[i][j], (l, i, j)
 
     @given(st.integers(0, 12), st.integers(0, 12))
     def test_symmetric(self, i, j):
@@ -150,6 +251,13 @@ class TestBranchWeights:
         for d in range(1, 8):
             assert branch_weights(3, d).m == branch_weights(3, 8 - d).m
 
+    @pytest.mark.parametrize("l", range(1, 10))
+    def test_matches_fraction_loop(self, l):
+        for delta in range(1 << l):
+            bw = branch_weights(l, delta)
+            assert list(bw.m) == fraction_branch_weights(l, delta), delta
+            assert bw.delta_n == min(delta, (1 << l) - delta)
+
     def test_delta_range_checked(self):
         with pytest.raises(InvalidSizeError):
             branch_weights(2, 4)
@@ -182,6 +290,23 @@ class TestTGivenDelta:
     def test_accepts_prebuilt_table(self):
         table = t_table(4)
         assert t_given_delta(4, 1, table=table) == t_given_delta(4, 1)
+
+    @pytest.mark.parametrize("l", range(1, 10))
+    def test_matches_fraction_route(self, l):
+        # Own table, a larger prebuilt one (scaled by 4**12, not 4**l), and
+        # one too small, which is rebuilt.
+        ref = fraction_t_table(l)
+        tables = (None, t_table(12), t_table(l - 1))
+        for delta in range(1 << l):
+            expected = fraction_t_given_delta(l, delta, ref)
+            for table in tables:
+                assert t_given_delta(l, delta, table) == expected, (delta, table)
+
+    def test_delta_range_checked(self):
+        with pytest.raises(InvalidSizeError):
+            t_given_delta(3, 8)
+        with pytest.raises(InvalidSizeError):
+            t_given_delta(3, -1, t_table(3))
 
     @pytest.mark.parametrize("l", range(1, 11))
     def test_class_mix_equals_average(self, l):
@@ -340,6 +465,22 @@ class TestNestedTables:
         assert tables.split_t2(6, 3) == F(73, 21)
         assert min(tables.split_t22(6, m) for m in range(1, 6)) == F(56, 15)
         assert min(tables.split_t2(6, m) for m in range(1, 6)) == F(24, 7)
+
+    def test_midpoint_tables_match_fraction_recursion(self):
+        tables = nested_tables(512)
+        ref = FractionNested(512)
+        assert tables.opt1 == ref.opt1
+        assert tables.opt22 == ref.opt22
+        assert tables.opt2 == ref.opt2
+
+    def test_every_split_matches_fraction_recursion(self):
+        tables = nested_tables(64)
+        ref = FractionNested(64)
+        for s in range(2, 65):
+            for m in range(1, s):
+                assert tables.split_t1(s, m) == ref.split_t1(s, m), (s, m)
+                assert tables.split_t22(s, m) == ref.split_t22(s, m), (s, m)
+                assert tables.split_t2(s, m) == ref.split_t2(s, m), (s, m)
 
     def test_step_identity(self, tables):
         for q in range(2, 257):
