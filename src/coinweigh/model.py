@@ -13,9 +13,11 @@ exhaustive verification) is built on the small vocabulary defined here.
 Indices are 1-based everywhere.  A ``Configuration`` stores the dense weight
 vector its public API exposes and, located once at construction, its support
 ``(p, q)``: the positions of the two unit coins, or p == q for a single coin
-of weight 2.  The executors and the verifier see only the support.  Regions
-are half-open runs ``[lo, hi)`` of consecutive positions, and ``weigh_runs``
-weighs a union of runs against a support by comparing intervals.
+of weight 2.  Regions are half-open runs ``[lo, hi)`` of consecutive
+positions, and ``weigh_runs`` weighs a union of runs against a support by
+comparing intervals.  ``oracle`` wraps it as the scale a strategy weighs
+on: a closure over the support that logs every weighing, so the strategy
+sees the readings and never the support.
 
 Which coin counts can be enumerated is decided in one place,
 ``require_enumerable``: every n with 2 <= n <= 2**ENUMERATION_CAP_L.  Only
@@ -26,13 +28,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 # Exhaustive enumeration is supported up to n = 2**ENUMERATION_CAP_L; past
 # that only the analytic (closed form / recursion) path is meaningful.
 ENUMERATION_CAP_L = 12
 
 TOTAL_WEIGHT = 2
+
+# A weighing of a union of disjoint runs [lo, hi), runs ascending.
+Runs = tuple[tuple[int, int], ...]
+# A spring scale as a strategy sees it: runs in, outcome out.
+Scale = Callable[[Runs], int]
 
 
 class CoinWeighError(Exception):
@@ -233,7 +240,7 @@ def weigh(config: Configuration, subset: tuple[int, ...]) -> int:
     return total
 
 
-def weigh_runs(p: int, q: int, runs: tuple[tuple[int, int], ...]) -> int:
+def weigh_runs(p: int, q: int, runs: Runs) -> int:
     """Interval oracle: the weight of a union of disjoint runs ``[lo, hi)``.
 
     The configuration is given by its support ``(p, q)``.  Each run
@@ -245,6 +252,26 @@ def weigh_runs(p: int, q: int, runs: tuple[tuple[int, int], ...]) -> int:
     for lo, hi in runs:
         total += (lo <= p < hi) + (lo <= q < hi)
     return total
+
+
+def oracle(p: int, q: int) -> tuple[Scale, list[tuple[Runs, int]]]:
+    """The spring scale hiding the support (p, q), and the log it keeps.
+
+    Returns ``(ask, log)``.  ``ask(runs)`` weighs the runs with
+    ``weigh_runs``, appends ``(runs, outcome)`` to ``log`` and returns the
+    outcome.  A strategy core is handed ``ask`` alone, so it sees only the
+    scale's readings, never p or q, and ``log`` holds every weighing it made
+    with the scale's own answer, in the order asked.
+    """
+    log: list[tuple[Runs, int]] = []
+    record = log.append
+
+    def ask(runs: Runs) -> int:
+        outcome = weigh_runs(p, q, runs)
+        record((runs, outcome))
+        return outcome
+
+    return ask, log
 
 
 def iter_supports(n: int, start: int = 0) -> Iterator[tuple[int, int]]:

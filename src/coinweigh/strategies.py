@@ -28,11 +28,13 @@ the regions still to be bisected.
 
 In both strategies every region is one run of consecutive coins and every
 query is the union of at most two runs.  So each strategy has a private core
-that works on half-open runs ``(lo, hi)`` and the support ``(p, q)`` alone,
-weighs with ``model.weigh_runs``, and returns the queries as (runs, outcome)
-pairs with runs ascending, plus the recovered support.  The exhaustive
-verifier calls the cores directly; ``run_proposed`` and ``run_nested`` turn
-their result into a ``Transcript`` of subset tuples and a dense estimate.
+that works on half-open runs ``(lo, hi)``.  A core is given n and the scale
+``ask`` of ``model.oracle``, weighs each query (runs ascending) only
+through it, and returns the recovered support.  It never sees the hidden
+support and never records a query: ``ask`` logs each (runs, outcome) pair
+as the scale answers it.  The exhaustive verifier calls the cores directly;
+``run_proposed`` and ``run_nested`` turn the log and the support into a
+``Transcript`` of subset tuples and a dense estimate.
 Each subset is a slice of one shared tuple of positions (two slices joined
 for a query of two runs), so building a transcript copies pointers and
 allocates no int objects.
@@ -45,17 +47,19 @@ strategy violates it as soon as a Π1 round weighs across two regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .model import (
     Configuration,
     InternalContractError,
     ProblemSize,
+    Runs,
+    Scale,
+    oracle,
     weigh_runs,
 )
 
 __all__ = ["Transcript", "run_proposed", "run_nested", "check_nested"]
-
-Runs = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,10 @@ class Transcript:
     """One strategy execution: the queries asked and the recovered weights.
 
     ``queries`` holds (subset, outcome) pairs in the order asked, subsets as
-    strictly increasing 1-based tuples.  ``estimate`` is the full recovered
-    weight vector; for a correct executor it equals the true configuration
-    and sums to 2, and every recorded outcome re-verifies against the oracle.
+    strictly increasing 1-based tuples.  Each outcome is the oracle's own
+    reading, logged by the oracle as it answered.  ``estimate`` is the full
+    recovered weight vector; for a correct executor it equals the true
+    configuration and sums to 2.
     """
 
     queries: tuple[tuple[tuple[int, ...], int], ...]
@@ -84,12 +89,14 @@ def _union(alo: int, ahi: int, blo: int, bhi: int) -> Runs:
 
 
 def _proposed_core(
-    n: int, p: int, q: int, debug: bool = False
-) -> tuple[list[tuple[Runs, int]], tuple[int, int]]:
-    """Π0/Π1/Π2 on coins 1..n (a power of two) for the support (p, q).
+    n: int, ask: Scale, probe: Scale | None = None
+) -> tuple[int, int]:
+    """Π0/Π1/Π2 on coins 1..n (a power of two), weighing through ``ask``.
 
-    Returns the (runs, outcome) pairs in the order asked and the recovered
-    support.  A region is the run [lo, hi) and is split at its midpoint.
+    Returns the recovered support.  A region is the run [lo, hi) and is
+    split at its midpoint.  Given ``probe``, a scale that weighs without
+    logging, each entry into a joint round first checks its precondition
+    with it and raises ``InternalContractError`` if that fails.
 
     The procedures run as loop phases, and each hand-off replaces the
     regions in place:
@@ -105,18 +112,13 @@ def _proposed_core(
     * Once a or b is a single coin, that coin is known and the loop ends;
       Π0 bisects the other region with weight 1.
     """
-    queries: list[tuple[Runs, int]] = []
-    record = queries.append
-
     # Π0 on weight 2.
     lo, hi = 1, n + 1
     while True:
         if hi - lo == 1:
-            return queries, (lo, lo)
+            return lo, lo
         mid = (lo + hi) // 2
-        runs = ((lo, mid),)
-        o = weigh_runs(p, q, runs)
-        record((runs, o))
+        o = ask(((lo, mid),))
         if o == 0:
             lo = mid
         elif o == 2:
@@ -129,9 +131,9 @@ def _proposed_core(
     # a = [alo, ahi) and b = [blo, bhi).
     alo, ahi, blo, bhi = lo, mid, mid, hi
     while True:
-        if debug and (
-            weigh_runs(p, q, ((alo, ahi),)),
-            weigh_runs(p, q, ((blo, bhi),)),
+        if probe is not None and (
+            probe(((alo, ahi),)),
+            probe(((blo, bhi),)),
         ) != (1, 1):
             raise InternalContractError(
                 f"joint round on [{alo}, {ahi}), [{blo}, {bhi}): not 1 each"
@@ -141,8 +143,7 @@ def _proposed_core(
         amid = (alo + ahi) // 2
         bmid = (blo + bhi) // 2
         runs = _union(alo, amid, blo, bmid)
-        o = weigh_runs(p, q, runs)
-        record((runs, o))
+        o = ask(runs)
         if o == 0:
             alo, blo = amid, bmid
             continue
@@ -152,27 +153,23 @@ def _proposed_core(
 
         # Π2.  Known: the joined lower halves weigh 1, so one coin sits in a
         # lower half and the other in an upper half.
-        if debug and weigh_runs(p, q, runs) != 1:
+        if probe is not None and probe(runs) != 1:
             raise InternalContractError(
                 f"tie-break on [{alo}, {ahi}), [{blo}, {bhi}): lower not 1"
             )
         if ahi - alo == 2 and bhi - blo == 2:
             # One weighing settles all four coins.
-            runs = ((alo, alo + 1),)
-            o = weigh_runs(p, q, runs)
-            record((runs, o))
+            o = ask(((alo, alo + 1),))
             if o not in (0, 1):
                 raise InternalContractError(
                     f"singleton weighed {o} in a joint round"
                 )
             c, d = (alo, bhi - 1) if o else (alo + 1, blo)
-            return queries, (c, d) if c < d else (d, c)
+            return (c, d) if c < d else (d, c)
         if bhi - blo < ahi - alo:
             alo, ahi, amid, blo, bhi, bmid = blo, bhi, bmid, alo, ahi, amid
         bqtr = (bmid + bhi) // 2
-        runs = _union(alo, amid, bmid, bqtr)
-        o = weigh_runs(p, q, runs)
-        record((runs, o))
+        o = ask(_union(alo, amid, bmid, bqtr))
         if o == 0:
             alo, bhi = amid, bmid
         elif o == 1:
@@ -189,39 +186,32 @@ def _proposed_core(
         coin, lo, hi = blo, alo, ahi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        runs = ((lo, mid),)
-        o = weigh_runs(p, q, runs)
-        record((runs, o))
+        o = ask(((lo, mid),))
         if o == 0:
             lo = mid
         elif o == 1:
             hi = mid
         else:
             raise InternalContractError(f"w(s)=1 but weighed {o} on a half")
-    return queries, (coin, lo) if coin < lo else (lo, coin)
+    return (coin, lo) if coin < lo else (lo, coin)
 
 
-def _nested_core(
-    n: int, p: int, q: int
-) -> tuple[list[tuple[Runs, int]], tuple[int, int]]:
-    """Nested bisection on coins 1..n for the support (p, q).
+def _nested_core(n: int, ask: Scale) -> tuple[int, int]:
+    """Nested bisection on coins 1..n, weighing through ``ask``.
 
-    Returns the (runs, outcome) pairs in the order asked and the recovered
-    support.  Every query is the lower half of the region it refines.
-    ``pending`` holds the regions (lo, hi, w) of known weight w still to be
-    bisected.  A 1 / 1 split pushes the upper half and keeps bisecting the
-    lower one, so the queries come out in depth-first order.
+    Returns the recovered support.  Every query is the lower half of the
+    region it refines.  ``pending`` holds the regions (lo, hi, w) of known
+    weight w still to be bisected.  A 1 / 1 split pushes the upper half and
+    keeps bisecting the lower one, so the queries come out in depth-first
+    order.
     """
-    queries: list[tuple[Runs, int]] = []
     found: list[int] = []
     pending = [(1, n + 1, 2)]
     while pending:
         lo, hi, w = pending.pop()
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            runs = ((lo, mid),)
-            o = weigh_runs(p, q, runs)
-            queries.append((runs, o))
+            o = ask(((lo, mid),))
             if o == 0:
                 lo = mid
             elif o == w:
@@ -235,7 +225,7 @@ def _nested_core(
                 )
         found.extend((lo,) * w)
     lo_coin, hi_coin = sorted(found)
-    return queries, (lo_coin, hi_coin)
+    return lo_coin, hi_coin
 
 
 # _POSITIONS[k] == k for k = 0..n, for the largest n seen so far.  A larger n
@@ -270,18 +260,23 @@ def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
 
     With ``debug`` set, every entry into a joint round re-checks its
     precondition (both regions hold weight exactly 1, and for Π2 the lower
-    halves hold 1 together) against the oracle without recording a query,
-    and raises ``InternalContractError`` if it fails.
+    halves hold 1 together) on a second scale that does not log, so the
+    transcript is the same, and raises ``InternalContractError`` if it
+    fails.
     """
     n = ProblemSize.from_coin_count(config.n).n
-    queries, support = _proposed_core(n, *config.positions, debug)
-    return _transcript(n, queries, support)
+    p, q = config.positions
+    ask, log = oracle(p, q)
+    probe = partial(weigh_runs, p, q) if debug else None
+    support = _proposed_core(n, ask, probe)
+    return _transcript(n, log, support)
 
 
 def run_nested(config: Configuration) -> Transcript:
     """Execute nested bisection on ``config`` (any n >= 2)."""
-    queries, support = _nested_core(config.n, *config.positions)
-    return _transcript(config.n, queries, support)
+    ask, log = oracle(*config.positions)
+    support = _nested_core(config.n, ask)
+    return _transcript(config.n, log, support)
 
 
 def check_nested(transcript: Transcript) -> bool:

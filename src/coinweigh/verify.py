@@ -3,16 +3,18 @@
 The analytic side of the package predicts averages and maxima from
 recursions; this module earns those numbers the hard way by executing a
 strategy on all n + C(n, 2) configurations, checking that every run recovers
-the exact support and that every recorded outcome re-verifies against the
-oracle, and aggregating exact statistics.  ``cross_check`` then compares the
-two routes, demanding exact equality of rationals.
+the exact support, and aggregating exact statistics.  ``cross_check`` then
+compares the two routes, demanding exact equality of rationals.
 
 The exhaustive loop never builds a ``Configuration`` or a subset tuple: it
-walks the supports (p, q) of ``model.iter_supports`` and calls the
-strategies' interval cores, whose queries are runs (lo, hi) weighed by
-``model.weigh_runs``.  Work is partitioned by ranges of support ranks so it
-can spread over processes; partial records hold integer sums, which merge
-exactly in any order, and the mean only becomes a rational at the end.
+walks the supports (p, q) of ``model.iter_supports`` and hands the
+strategies' interval cores the scale ``ask`` of ``model.oracle``.  A core
+sees only the readings of ``ask``, whose log holds each weighing with the
+scale's own answer, so no outcome needs weighing again: a run that returns
+(p, q) has identified the support from true readings.  Work is partitioned
+by ranges of support ranks so it can spread over processes; partial records
+hold integer sums, which merge exactly in any order, and the mean only
+becomes a rational at the end.
 
 A CLI run opens one ``worker_pool`` around all of its sizes, and every
 ``exhaustive_stats`` call inside it sends its chunks to that one pool; a
@@ -39,8 +41,8 @@ from .model import (
     ProblemSize,
     config_count,
     iter_supports,
+    oracle,
     require_enumerable,
-    weigh_runs,
 )
 from . import analysis
 from .analysis import rational_str
@@ -194,14 +196,15 @@ def worker_pool(threads: int | None = None) -> Iterator[None]:
             executor.shutdown(cancel_futures=not finished)
 
 
-def _run_range(
-    n: int, strategy: str, lo: int, hi: int
-) -> tuple[int, int, int, dict[int, list[int]]]:
+def _run_range(n: int, strategy: str, lo: int, hi: int) -> _Partial:
     """Execute configs with ranks lo..hi-1; return exact partial sums.
 
-    Every run must recover the true support and every recorded outcome must
-    re-verify against the oracle; any discrepancy is an implementation bug.
-    Per-class cells are keyed by δ = q - p and hold [weighings, configs].
+    Each core weighs through the ``ask`` of ``model.oracle`` and sees
+    nothing else of the support, and the oracle's log records every outcome
+    as the scale gave it.  So a run that returns the true support has
+    identified it, and the log's length is its weighing count; a run that
+    returns anything else is an implementation bug.  Per-class cells are
+    keyed by δ = q - p and hold [weighings, configs].
     """
     core = _CORES[strategy]
     count = 0
@@ -209,19 +212,14 @@ def _run_range(
     worst = 0
     per_delta: dict[int, list[int]] = {}
     for p, q in islice(iter_supports(n, lo), hi - lo):
-        queries, found = core(n, p, q)
+        ask, log = oracle(p, q)
+        found = core(n, ask)
         if found != (p, q):
             raise InternalContractError(
                 f"{strategy} failed to recover support {(p, q)} of n={n}: "
                 f"got {found}"
             )
-        for runs, outcome in queries:
-            if weigh_runs(p, q, runs) != outcome:
-                raise InternalContractError(
-                    f"{strategy} transcript outcome {outcome} for runs {runs} "
-                    f"does not re-verify on support {(p, q)} of n={n}"
-                )
-        weighings = len(queries)
+        weighings = len(log)
         count += 1
         total += weighings
         if weighings > worst:

@@ -29,10 +29,11 @@ ACCEPTANCE_L_MAX = 10
 def full_stats():
     """StatsRow for every (l, strategy) with l = 1..10, keyed by that pair.
 
-    Building a row runs the strategy's interval core on the support of every
-    configuration, checks that it recovers that support and re-verifies each
-    recorded outcome against the interval oracle, so merely constructing this
-    fixture proves recovery correctness for the whole range.  The subset
+    Building a row runs the strategy's interval core on every configuration,
+    weighing through the ``ask`` of ``model.oracle``, which logs each outcome
+    as the scale gives it, and checks that the core recovers the support it
+    never sees; so merely constructing this fixture proves recovery
+    correctness for the whole range.  The subset
     tuples of the public transcripts are pinned separately, byte for byte,
     by the digest tests in ``test_strategies.py``.  All 20 rows share one
     ``verify.worker_pool``, as the sizes of a CLI run do.

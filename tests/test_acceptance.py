@@ -6,8 +6,9 @@ evidence is visible with ``-s`` (or in the captured output on failure).
 
 The building of the shared ``full_stats`` fixture is itself the recovery
 check behind criterion 1: exhaustive execution raises if any configuration
-is mis-recovered or any recorded outcome fails to re-verify against the
-oracle, for every n = 2, 4, ..., 1024 and both strategies.
+is mis-recovered, for every n = 2, 4, ..., 1024 and both strategies.  Each
+strategy weighs only through an oracle that logs its own answers, so every
+recorded outcome is the scale's reading by construction.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def test_criterion_01_exhaustive_recovery_all_sizes(full_stats):
             assert row.max_weighings >= 1
             total_runtime += row.runtime_s
     print(
-        f"criterion 1: all configurations recovered, outcomes re-verified, "
-        f"n=2..{1 << ACCEPTANCE_L_MAX} both strategies "
+        "criterion 1: all configurations recovered from logged oracle "
+        f"readings, n=2..{1 << ACCEPTANCE_L_MAX} both strategies "
         f"({total_runtime:.1f}s total)"
     )
 

@@ -274,6 +274,19 @@ class TestVerify:
         assert pool_log == {"created": 1, "cancelled": [True]}
         assert_no_pool_survives()
 
+    def test_wrong_support_is_verification_failure(
+        self, capsys, monkeypatch, pool_log
+    ):
+        monkeypatch.setitem(verify._CORES, "proposed", lambda n, ask: (1, n))
+        code, out, err = run(capsys, "verify", "--l-max", "3", "--threads", "1")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "verification failure: proposed failed to recover support (1, 1) "
+            "of n=2: got (1, 2)\n"
+        )
+        assert pool_log == {"created": 0, "cancelled": []}
+
     def test_interrupt_exits_130(self, capsys, monkeypatch, pool_log):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt

@@ -21,6 +21,7 @@ from coinweigh.model import (
     delta_of,
     enumerate_configs,
     iter_supports,
+    oracle,
     parse_subset,
     validate_subset,
     weigh,
@@ -230,6 +231,19 @@ class TestWeigh:
             runs += ((c, d),)
         subset = tuple(pos for lo, hi in runs for pos in range(lo, hi))
         assert weigh_runs(p, q, runs) == weigh(config, subset)
+
+    def test_oracle_logs_each_answer(self):
+        # Each oracle answers with weigh_runs and owns its log: the weighings
+        # in the order asked, with the outcomes returned.
+        ask, log = oracle(2, 3)
+        other_ask, other_log = oracle(1, 1)
+        queries = (((1, 3),), ((3, 4),), ((1, 2), (3, 5)), ((4, 5),))
+        outcomes = [ask(runs) for runs in queries]
+        assert outcomes == [weigh_runs(2, 3, runs) for runs in queries]
+        assert outcomes == [1, 1, 1, 0]
+        assert other_ask(((1, 2),)) == 2
+        assert other_log == [(((1, 2),), 2)]
+        assert log == list(zip(queries, outcomes))
 
     def test_parse_subset(self):
         assert parse_subset("1, 2,4", 4) == (1, 2, 4)

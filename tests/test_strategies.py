@@ -6,7 +6,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import sys
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -20,6 +20,7 @@ from coinweigh.model import (
     delta_of,
     enumerate_configs,
     iter_supports,
+    oracle,
     validate_subset,
     weigh,
     weigh_runs,
@@ -85,28 +86,30 @@ class TestProposed:
             transcript = run_proposed(config, debug=True)
             assert transcript.estimate == config.weights
 
-    def test_debug_mode_rejects_lying_oracle(self, monkeypatch):
-        # The oracle reports a 1 / 1 split first and weight 0 afterwards, so
-        # the joint round's precondition fails; without debug the run would
-        # return the wrong estimate (0, 1, 0, 1).
-        answers = iter([1])
-        monkeypatch.setattr(
-            strategies, "weigh_runs", lambda p, q, runs: next(answers, 0)
-        )
-        with pytest.raises(InternalContractError):
-            run_proposed(Configuration.type_two(4, 1, 3), debug=True)
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    def test_debug_probe_never_logs(self, n):
+        # The debug checks weigh on a scale without a log, so the transcript
+        # (queries and estimate) is the one a run without them produces.
+        for config in all_configs(n):
+            assert run_proposed(config, debug=True) == run_proposed(config)
 
-    def test_debug_mode_rejects_lying_tie_break(self, monkeypatch):
-        # The oracle reports a 1 / 1 split, both halves of weight 1 at the
+    def test_debug_mode_rejects_lying_oracle(self):
+        # The scale reports a 1 / 1 split first and weight 0 afterwards, so
+        # the joint round's precondition fails; without the probe the run
+        # returns the wrong support (2, 4).
+        assert strategies._proposed_core(4, lying_scale([1])) == (2, 4)
+        lie = lying_scale([1])
+        with pytest.raises(InternalContractError):
+            strategies._proposed_core(4, lie, lie)
+
+    def test_debug_mode_rejects_lying_tie_break(self):
+        # The scale reports a 1 / 1 split, both halves of weight 1 at the
         # joint round's entry and 1 for the joined lower halves, then 0 when
         # Π2 re-weighs those lower halves.  Only Π2's check can fail; without
         # it the 2 x 2 tie-break would settle on the wrong support (2, 3).
-        answers = iter([1, 1, 1, 1])
-        monkeypatch.setattr(
-            strategies, "weigh_runs", lambda p, q, runs: next(answers, 0)
-        )
+        lie = lying_scale([1, 1, 1, 1])
         with pytest.raises(InternalContractError, match="tie-break"):
-            run_proposed(Configuration.type_two(4, 1, 3), debug=True)
+            strategies._proposed_core(4, lie, lie)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
     def test_worst_case_attained(self, l):
@@ -235,6 +238,15 @@ def assert_subsets_sliced(transcript: Transcript, queries, n: int):
         assert (subset, outcome) == (reference, core_outcome)
 
 
+def logged(core, n: int, p: int, q: int, debug: bool = False):
+    """Run ``core`` on the scale of ``model.oracle`` for the support (p, q),
+    given a probe that weighs without logging when ``debug`` is set; return
+    the oracle's log and the recovered support."""
+    ask, log = oracle(p, q)
+    probe = (partial(weigh_runs, p, q),) if debug else ()
+    return log, core(n, ask, *probe)
+
+
 class TestTranscriptSubsets:
     @pytest.mark.parametrize("l", range(1, 9))
     @pytest.mark.parametrize(
@@ -248,7 +260,7 @@ class TestTranscriptSubsets:
     def test_subsets_match_runs(self, runner, core, l):
         n = 1 << l
         for config in all_configs(n):
-            queries, _ = core(n, *config.positions)
+            queries, _ = logged(core, n, *config.positions)
             assert_subsets_sliced(runner(config), queries, n)
 
     def test_positions_grow_and_are_reused(self, monkeypatch):
@@ -257,7 +269,7 @@ class TestTranscriptSubsets:
             config = Configuration.type_two(n, 3, n)
             transcript = run_nested(config)
             assert_transcript_valid(config, transcript)
-            queries, _ = strategies._nested_core(n, 3, n)
+            queries, _ = logged(strategies._nested_core, n, 3, n)
             assert_subsets_sliced(transcript, queries, n)
             # Grown for n = 5000, then reused, not shrunk, for n = 8.
             assert len(strategies._POSITIONS) == 5001
@@ -266,23 +278,18 @@ class TestTranscriptSubsets:
 # The recursive cores the loop cores replaced, with their ``_union``, kept as
 # the reference they must match: Π0, Π1 and Π2 as mutually recursive
 # closures, and nested bisection as one recursive closure.  Their logic and
-# messages are unchanged; only annotations and comments were dropped.  They
-# weigh through this module's ``weigh_runs``, so a test can patch it
-# alongside ``strategies.weigh_runs``.
+# messages are unchanged; only annotations and comments were dropped.  Like
+# the loop cores, they weigh only through the scales ``ask`` and ``probe``
+# they are given and return the support, so a test can hand both the same
+# lying scale.
 def _union(alo, ahi, blo, bhi):
     if alo < blo:
         return ((alo, ahi), (blo, bhi))
     return ((blo, bhi), (alo, ahi))
 
 
-def recursive_proposed_core(n, p, q, debug=False):
-    queries = []
+def recursive_proposed_core(n, ask, probe=None):
     found = []
-
-    def ask(runs):
-        outcome = weigh_runs(p, q, runs)
-        queries.append((runs, outcome))
-        return outcome
 
     def pi0(lo, hi, w):
         if hi - lo == 1:
@@ -300,9 +307,9 @@ def recursive_proposed_core(n, p, q, debug=False):
             raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
 
     def pi1(alo, ahi, blo, bhi):
-        if debug and (
-            weigh_runs(p, q, ((alo, ahi),)),
-            weigh_runs(p, q, ((blo, bhi),)),
+        if probe is not None and (
+            probe(((alo, ahi),)),
+            probe(((blo, bhi),)),
         ) != (1, 1):
             raise InternalContractError(
                 f"joint round on [{alo}, {ahi}), [{blo}, {bhi}): not 1 each"
@@ -322,8 +329,8 @@ def recursive_proposed_core(n, p, q, debug=False):
             pi2(alo, ahi, blo, bhi)
 
     def pi2(alo, ahi, blo, bhi):
-        if debug and weigh_runs(
-            p, q, _union(alo, (alo + ahi) // 2, blo, (blo + bhi) // 2)
+        if probe is not None and probe(
+            _union(alo, (alo + ahi) // 2, blo, (blo + bhi) // 2)
         ) != 1:
             raise InternalContractError(
                 f"tie-break on [{alo}, {ahi}), [{blo}, {bhi}): lower not 1"
@@ -349,11 +356,10 @@ def recursive_proposed_core(n, p, q, debug=False):
 
     pi0(1, n + 1, 2)
     lo_coin, hi_coin = sorted(found)
-    return queries, (lo_coin, hi_coin)
+    return lo_coin, hi_coin
 
 
-def recursive_nested_core(n, p, q):
-    queries = []
+def recursive_nested_core(n, ask):
     found = []
 
     def solve(lo, hi, w):
@@ -361,9 +367,7 @@ def recursive_nested_core(n, p, q):
             found.extend((lo,) * w)
             return
         mid = (lo + hi) // 2
-        runs = ((lo, mid),)
-        o = weigh_runs(p, q, runs)
-        queries.append((runs, o))
+        o = ask(((lo, mid),))
         if o == 0:
             solve(mid, hi, w)
         elif o == w:
@@ -376,7 +380,7 @@ def recursive_nested_core(n, p, q):
 
     solve(1, n + 1, 2)
     lo_coin, hi_coin = sorted(found)
-    return queries, (lo_coin, hi_coin)
+    return lo_coin, hi_coin
 
 
 def supports(n: int):
@@ -386,22 +390,32 @@ def supports(n: int):
     )
 
 
-def run_on_oracle(core, answers, *args):
-    """Run ``core`` with every weighing answered from ``answers`` (0 once they
-    run out); return its result, or the message of the contract error it
-    raised."""
+def lying_scale(answers):
+    """A scale that answers each weighing with the next of ``answers``, true
+    or not, and 0 once they run out."""
     replies = iter(answers)
+    return lambda runs: next(replies, 0)
 
-    def oracle(p, q, runs):
-        return next(replies, 0)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(strategies, "weigh_runs", oracle)
-        patch.setattr(sys.modules[__name__], "weigh_runs", oracle)
-        try:
-            return core(*args)
-        except InternalContractError as exc:
-            return f"InternalContractError: {exc}"
+def run_on_oracle(core, answers, n: int, debug: bool = False):
+    """Run ``core`` with every weighing, the probe's included, answered from
+    ``answers`` (0 once they run out).  Return the logged weighings with
+    their answers, and the recovered support or the message of the contract
+    error the core raised."""
+    lie = lying_scale(answers)
+    log = []
+
+    def ask(runs):
+        outcome = lie(runs)
+        log.append((runs, outcome))
+        return outcome
+
+    probe = (lie,) if debug else ()
+    try:
+        result = core(n, ask, *probe)
+    except InternalContractError as exc:
+        result = f"InternalContractError: {exc}"
+    return log, result
 
 
 class TestLoopCoresMatchRecursive:
@@ -410,22 +424,22 @@ class TestLoopCoresMatchRecursive:
         n = 1 << l
         debug = l <= 6
         for p, q in iter_supports(n):
-            assert strategies._proposed_core(
-                n, p, q, debug
-            ) == recursive_proposed_core(n, p, q, debug), (p, q)
+            assert logged(
+                strategies._proposed_core, n, p, q, debug
+            ) == logged(recursive_proposed_core, n, p, q, debug), (p, q)
 
     def test_nested_every_support(self):
         for n in range(2, 65):
             for p, q in iter_supports(n):
-                assert strategies._nested_core(
-                    n, p, q
-                ) == recursive_nested_core(n, p, q), (n, p, q)
+                assert logged(strategies._nested_core, n, p, q) == logged(
+                    recursive_nested_core, n, p, q
+                ), (n, p, q)
 
     @given(supports(4096), st.booleans())
     def test_proposed_n4096(self, support, debug):
-        assert strategies._proposed_core(
-            4096, *support, debug
-        ) == recursive_proposed_core(4096, *support, debug)
+        assert logged(
+            strategies._proposed_core, 4096, *support, debug
+        ) == logged(recursive_proposed_core, 4096, *support, debug)
 
     @given(st.data())
     def test_nested_n4096_and_non_powers_of_two(self, data):
@@ -436,8 +450,8 @@ class TestLoopCoresMatchRecursive:
             )
         )
         p, q = data.draw(supports(n))
-        assert strategies._nested_core(n, p, q) == recursive_nested_core(
-            n, p, q
+        assert logged(strategies._nested_core, n, p, q) == logged(
+            recursive_nested_core, n, p, q
         )
 
     @given(
@@ -450,11 +464,11 @@ class TestLoopCoresMatchRecursive:
         # support, or the same contract error, including both debug checks.
         n = 1 << l
         assert run_on_oracle(
-            strategies._proposed_core, answers, n, 1, n, debug
-        ) == run_on_oracle(recursive_proposed_core, answers, n, 1, n, debug)
+            strategies._proposed_core, answers, n, debug
+        ) == run_on_oracle(recursive_proposed_core, answers, n, debug)
         assert run_on_oracle(
-            strategies._nested_core, answers, n + 1, 1, n
-        ) == run_on_oracle(recursive_nested_core, answers, n + 1, 1, n)
+            strategies._nested_core, answers, n + 1
+        ) == run_on_oracle(recursive_nested_core, answers, n + 1)
 
 
 # sha256 of the concatenated ``trace`` text of every transcript at one size,

@@ -10,7 +10,12 @@ import pytest
 
 from coinweigh import verify
 from coinweigh.analysis import nested_closed_forms, t_ave_proposed
-from coinweigh.model import InvalidSizeError, TooLargeError, config_count
+from coinweigh.model import (
+    InternalContractError,
+    InvalidSizeError,
+    TooLargeError,
+    config_count,
+)
 from coinweigh.verify import (
     _run_range,
     cross_check,
@@ -242,6 +247,22 @@ class TestRunRange:
                 _run_range(n, strategy, 0, k), _run_range(n, strategy, k, total)
             )
             assert parts == whole
+
+    @pytest.mark.parametrize("strategy", ["proposed", "nested"])
+    def test_wrong_support_is_contract_error(self, monkeypatch, strategy):
+        # The recovery check is the one check left on a run: a core that
+        # weighs honestly but names the wrong support must not be counted.
+        def wrong(n, ask):
+            ask(((1, 2),))
+            return 1, n
+
+        monkeypatch.setitem(verify._CORES, strategy, wrong)
+        with pytest.raises(
+            InternalContractError,
+            match=rf"^{strategy} failed to recover support \(1, 1\) of n=4: "
+            r"got \(1, 4\)$",
+        ):
+            _run_range(4, strategy, 0, config_count(4))
 
 
 class TestCrossCheck:
