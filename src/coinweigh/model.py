@@ -20,8 +20,9 @@ on: a closure over the support that logs every weighing, so the strategy
 sees the readings and never the support.
 
 Which coin counts can be enumerated is decided in one place,
-``require_enumerable``: every n with 2 <= n <= 2**ENUMERATION_CAP_L.  Only
-the halving strategy also needs n to be a power of two (``ProblemSize``).
+``require_enumerable``: every n with 2 <= n <= 2**ENUMERATION_CAP_L.  Both
+strategies run at every such n; ``ProblemSize`` (n = 2**l) indexes the
+analytic rows by l.
 """
 
 from __future__ import annotations
@@ -82,14 +83,6 @@ class ProblemSize:
             raise InvalidSizeError(f"exponent must be an integer >= 1, got {l!r}")
         return cls(l=l, n=1 << l)
 
-    @classmethod
-    def from_coin_count(cls, n: int) -> "ProblemSize":
-        if not isinstance(n, int) or n < 2 or n & (n - 1):
-            raise InvalidSizeError(
-                f"coin count must be a power of two >= 2, got {n!r}"
-            )
-        return cls(l=n.bit_length() - 1, n=n)
-
 
 def require_enumerable(n: int) -> None:
     """Check that every configuration of n coins can be enumerated.
@@ -115,7 +108,10 @@ class Configuration:
     (p, q) that the executors work on, with p == q for a coin of weight 2.
     Construction is two ``tuple.count`` passes that pin the shape, then
     ``tuple.index`` calls that stop at the coins; all of it runs in C, with
-    no Python-level loop even at n = 4096.
+    no Python-level loop even at n = 4096.  The one or two coins found must
+    be of type ``int`` (not ``bool`` or ``float``), while zero entries are
+    compared by value only: a type check on every entry would cost a
+    Python-level pass over all n.
     """
 
     weights: tuple[int, ...]
@@ -138,6 +134,8 @@ class Configuration:
             raise InvalidConfigurationError(
                 f"weights must be 0/1/2 with total {TOTAL_WEIGHT}: {w!r}"
             )
+        if type(w[p - 1]) is not int or type(w[q - 1]) is not int:
+            raise InvalidConfigurationError(f"coin weights must be ints: {w!r}")
         object.__setattr__(self, "positions", (p, q))
 
     @classmethod

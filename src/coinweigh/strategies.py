@@ -1,8 +1,8 @@
 """Adaptive weighing strategies: the halving scheme and plain nested search.
 
-Both strategies identify an unknown total-weight-2 configuration by adaptive
-weighings and both finish within 2l - 1 weighings for n = 2**l coins.  They
-differ in how they spend the average case:
+Both strategies identify an unknown total-weight-2 configuration of any
+n >= 2 coins by adaptive weighings, and both finish within 2l - 1 weighings
+for n = 2**l coins.  They differ in how they spend the average case:
 
 * ``run_proposed`` is the three-procedure halving scheme.  Π0 bisects a set
   of known total weight; when a weighing splits weight 1 / 1 across two
@@ -15,16 +15,15 @@ differ in how they spend the average case:
 
 * ``run_nested`` is classic nested bisection: every weighing is a subset of
   the region the previous weighing pinned down, so type-II configurations
-  are resolved one coin at a time.  It works for every n >= 2, powers of two
-  or not.
+  are resolved one coin at a time.
 
-Each hand-off is the last step of the procedure that makes it, so each
-core is a flat loop, not a set of recursive procedures.  ``_proposed_core``
-runs Π0 on weight 2 as one loop and then a joint-round loop, where a Π1 or
-Π2 hand-off replaces the two regions in place.  When Π1 finds a region
-narrowed to a single coin, that coin needs no weighing, so the closing Π0 on
-weight 1 is one loop on the other region.  ``_nested_core`` keeps a stack of
-the regions still to be bisected.
+Both cores run the same phases: Π0 on weight 2, then, for the halving
+scheme only, the joint rounds, then Π0 on weight 1 (``_bisect1``).  Each
+hand-off is the last step of the procedure that makes it, so each core is
+a flat loop, not a set of recursive procedures.  In ``_proposed_core`` a
+Π1 or Π2 hand-off replaces the two regions in place, and once a region is
+a single coin only the other one is bisected.  ``_nested_core`` bisects
+both halves of a 1 / 1 split, the lower one first.
 
 In both strategies every region is one run of consecutive coins and every
 query is the union of at most two runs.  So each strategy has a private core
@@ -52,7 +51,6 @@ from functools import partial
 from .model import (
     Configuration,
     InternalContractError,
-    ProblemSize,
     Runs,
     Scale,
     oracle,
@@ -88,10 +86,24 @@ def _union(alo: int, ahi: int, blo: int, bhi: int) -> Runs:
     return ((blo, bhi), (alo, ahi))
 
 
+def _bisect1(ask: Scale, lo: int, hi: int) -> int:
+    """Π0 on weight 1: the one coin of the run [lo, hi), found by bisection."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        o = ask(((lo, mid),))
+        if o == 0:
+            lo = mid
+        elif o == 1:
+            hi = mid
+        else:
+            raise InternalContractError(f"w(s)=1 but weighed {o} on a half")
+    return lo
+
+
 def _proposed_core(
     n: int, ask: Scale, probe: Scale | None = None
 ) -> tuple[int, int]:
-    """Π0/Π1/Π2 on coins 1..n (a power of two), weighing through ``ask``.
+    """Π0/Π1/Π2 on coins 1..n, weighing through ``ask``.
 
     Returns the recovered support.  A region is the run [lo, hi) and is
     split at its midpoint.  Given ``probe``, a scale that weighs without
@@ -110,7 +122,7 @@ def _proposed_core(
       new regions back to Π1; when a and b both have two coins that
       weighing settles all four, and the support is returned.
     * Once a or b is a single coin, that coin is known and the loop ends;
-      Π0 bisects the other region with weight 1.
+      ``_bisect1`` finds the coin of the other region.
     """
     # Π0 on weight 2.
     lo, hi = 1, n + 1
@@ -181,51 +193,36 @@ def _proposed_core(
 
     # Π0 on weight 1 on the region that is not yet a single coin.
     if ahi - alo == 1:
-        coin, lo, hi = alo, blo, bhi
+        coin, other = alo, _bisect1(ask, blo, bhi)
     else:
-        coin, lo, hi = blo, alo, ahi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        o = ask(((lo, mid),))
-        if o == 0:
-            lo = mid
-        elif o == 1:
-            hi = mid
-        else:
-            raise InternalContractError(f"w(s)=1 but weighed {o} on a half")
-    return (coin, lo) if coin < lo else (lo, coin)
+        coin, other = blo, _bisect1(ask, alo, ahi)
+    return (coin, other) if coin < other else (other, coin)
 
 
 def _nested_core(n: int, ask: Scale) -> tuple[int, int]:
     """Nested bisection on coins 1..n, weighing through ``ask``.
 
     Returns the recovered support.  Every query is the lower half of the
-    region it refines.  ``pending`` holds the regions (lo, hi, w) of known
-    weight w still to be bisected.  A 1 / 1 split pushes the upper half and
-    keeps bisecting the lower one, so the queries come out in depth-first
-    order.
+    region it refines.  Π0 bisects [1, n + 1), of weight 2, until a single
+    coin holds both units or a weighing splits the weight 1 / 1; then each
+    half is bisected with weight 1, the lower one first.  A reading other
+    than 0, 1 or 2 raises ``InternalContractError``, where the weight-2 loop
+    of ``_proposed_core`` hands it to the joint rounds; so the two loops
+    stay separate.
     """
-    found: list[int] = []
-    pending = [(1, n + 1, 2)]
-    while pending:
-        lo, hi, w = pending.pop()
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            o = ask(((lo, mid),))
-            if o == 0:
-                lo = mid
-            elif o == w:
-                hi = mid
-            elif w == 2 and o == 1:
-                pending.append((mid, hi, 1))
-                hi, w = mid, 1
-            else:
-                raise InternalContractError(
-                    f"w(s)={w} but weighed {o} on a half"
-                )
-        found.extend((lo,) * w)
-    lo_coin, hi_coin = sorted(found)
-    return lo_coin, hi_coin
+    lo, hi = 1, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        o = ask(((lo, mid),))
+        if o == 0:
+            lo = mid
+        elif o == 2:
+            hi = mid
+        elif o == 1:
+            return _bisect1(ask, lo, mid), _bisect1(ask, mid, hi)
+        else:
+            raise InternalContractError(f"w(s)=2 but weighed {o} on a half")
+    return lo, lo
 
 
 # _POSITIONS[k] == k for k = 0..n, for the largest n seen so far.  A larger n
@@ -256,7 +253,7 @@ def _transcript(
 
 
 def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
-    """Execute the halving scheme on ``config`` (n must be a power of two).
+    """Execute the halving scheme on ``config`` (any n >= 2).
 
     With ``debug`` set, every entry into a joint round re-checks its
     precondition (both regions hold weight exactly 1, and for Π2 the lower
@@ -264,7 +261,7 @@ def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
     transcript is the same, and raises ``InternalContractError`` if it
     fails.
     """
-    n = ProblemSize.from_coin_count(config.n).n
+    n = config.n
     p, q = config.positions
     ask, log = oracle(p, q)
     probe = partial(weigh_runs, p, q) if debug else None

@@ -256,11 +256,11 @@ def exhaustive_stats(
 ) -> StatsRow:
     """Run ``strategy`` on every configuration of n coins and aggregate.
 
-    n must pass ``model.require_enumerable`` (any 2 <= n <=
-    2**ENUMERATION_CAP_L, else ``TooLargeError`` before any worker starts),
-    and the proposed strategy also needs n a power of two.  ``l`` is log2 n
-    for a power of two and None otherwise.  Statistics are exact rationals;
-    partials merge exactly, so the result is independent of partitioning.
+    Both strategies take every n that passes ``model.require_enumerable``
+    (any 2 <= n <= 2**ENUMERATION_CAP_L, else ``TooLargeError`` before any
+    worker starts).  ``l`` is log2 n for a power of two and None otherwise.
+    Statistics are exact rationals; partials merge exactly, so the result is
+    independent of partitioning.
 
     ``threads`` defaults to CW_THREADS or the usable CPUs, and is clamped to
     the usable CPUs.  Inside an open ``worker_pool`` (a CLI run opens one
@@ -276,8 +276,6 @@ def exhaustive_stats(
     if strategy not in _CORES:
         raise ValueError(f"unknown strategy {strategy!r}")
     require_enumerable(n)
-    if strategy == "proposed":
-        ProblemSize.from_coin_count(n)
     l = n.bit_length() - 1 if n & (n - 1) == 0 else None
 
     start = time.perf_counter()

@@ -127,8 +127,8 @@ class TestTrace:
         assert code == 2
         assert "error" in err
 
-    def test_proposed_needs_power_of_two(self, capsys):
-        code, _, err = run(
+    def test_proposed_accepts_any_size(self, capsys):
+        code, out, _ = run(
             capsys,
             "trace",
             "--weights",
@@ -136,8 +136,14 @@ class TestTrace:
             "--strategy",
             "proposed",
         )
-        assert code == 2
-        assert "error" in err
+        assert code == 0
+        assert out.splitlines() == [
+            "step 1: weigh {1,2,3} -> 1",
+            "step 2: weigh {1,4} -> 1",
+            "step 3: weigh {1,5} -> 1",
+            "recovered: 1,0,0,0,0,1",
+            "weighings: 3",
+        ]
 
     def test_nested_accepts_any_size(self, capsys):
         code, out, _ = run(

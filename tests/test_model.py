@@ -37,15 +37,6 @@ class TestProblemSize:
         size = ProblemSize.from_exponent(3)
         assert (size.l, size.n) == (3, 8)
 
-    def test_from_coin_count(self):
-        size = ProblemSize.from_coin_count(1024)
-        assert (size.l, size.n) == (10, 1024)
-
-    @pytest.mark.parametrize("bad", [0, 1, 3, 6, 100, -4, 2.0, "8"])
-    def test_rejects_non_powers(self, bad):
-        with pytest.raises(InvalidSizeError):
-            ProblemSize.from_coin_count(bad)
-
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
     def test_rejects_bad_exponents(self, bad):
         with pytest.raises(InvalidSizeError):
@@ -83,6 +74,11 @@ class TestConfiguration:
             (-1, 3),
             (0, 3),
             (0.5, 1.5),
+            # Equal to legal weights, but coins must weigh an int.
+            (True, True),
+            (1.0, 1.0),
+            (2.0, 0),
+            (1, True),
         ],
     )
     def test_rejects_illegal_weights(self, weights):

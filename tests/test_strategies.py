@@ -16,7 +16,6 @@ from coinweigh import cli, strategies
 from coinweigh.model import (
     Configuration,
     InternalContractError,
-    InvalidSizeError,
     delta_of,
     enumerate_configs,
     iter_supports,
@@ -120,16 +119,30 @@ class TestProposed:
 
     @given(st.data())
     def test_recovery_random(self, data):
-        l = data.draw(st.integers(1, 6))
-        config = data.draw(st.sampled_from(all_configs(1 << l)))
+        n = data.draw(st.integers(2, 64))
+        config = data.draw(st.sampled_from(all_configs(n)))
         transcript = run_proposed(config, debug=True)
         assert_transcript_valid(config, transcript)
-        assert transcript.weighings <= 2 * l - 1
+        # 2 ceil(log2 n) - 1, which is 2l - 1 at n = 2**l.
+        assert transcript.weighings <= 2 * (n - 1).bit_length() - 1
 
-    @pytest.mark.parametrize("weights", [(1, 1, 0), (0, 1, 0, 0, 1, 0)])
-    def test_rejects_non_power_of_two(self, weights):
-        with pytest.raises(InvalidSizeError):
-            run_proposed(Configuration(weights))
+    @pytest.mark.parametrize(
+        "weights, queries",
+        [
+            ((1, 1, 0), (((1,), 1), ((2,), 1))),
+            (
+                (0, 1, 0, 0, 1, 0),
+                (((1, 2, 3), 1), ((1, 4), 0), ((2, 5), 2)),
+            ),
+        ],
+    )
+    def test_runs_on_non_power_of_two(self, weights, queries):
+        # Halves of a run of odd size differ by one coin; the split is the
+        # same midpoint (lo + hi) // 2 as at a power of two.
+        config = Configuration(weights)
+        transcript = run_proposed(config, debug=True)
+        assert transcript.queries == queries
+        assert_transcript_valid(config, transcript)
 
 
 class TestNested:
@@ -390,6 +403,13 @@ def supports(n: int):
     )
 
 
+# n = 4096, or any size below it that is not a power of two.
+sizes_to_4096 = st.one_of(
+    st.just(4096),
+    st.integers(3, 4095).filter(lambda n: n & (n - 1)),
+)
+
+
 def lying_scale(answers):
     """A scale that answers each weighing with the next of ``answers``, true
     or not, and 0 once they run out."""
@@ -421,12 +441,14 @@ def run_on_oracle(core, answers, n: int, debug: bool = False):
 class TestLoopCoresMatchRecursive:
     @pytest.mark.parametrize("l", range(1, 9))
     def test_proposed_every_support(self, l):
-        n = 1 << l
+        # Every n with ceil(log2 n) = l up to n = 64, and n = 2**l above.
+        sizes = range((1 << (l - 1)) + 1, (1 << l) + 1) if l <= 6 else [1 << l]
         debug = l <= 6
-        for p, q in iter_supports(n):
-            assert logged(
-                strategies._proposed_core, n, p, q, debug
-            ) == logged(recursive_proposed_core, n, p, q, debug), (p, q)
+        for n in sizes:
+            for p, q in iter_supports(n):
+                assert logged(
+                    strategies._proposed_core, n, p, q, debug
+                ) == logged(recursive_proposed_core, n, p, q, debug), (n, p, q)
 
     def test_nested_every_support(self):
         for n in range(2, 65):
@@ -435,40 +457,36 @@ class TestLoopCoresMatchRecursive:
                     recursive_nested_core, n, p, q
                 ), (n, p, q)
 
-    @given(supports(4096), st.booleans())
-    def test_proposed_n4096(self, support, debug):
+    @given(st.data(), st.booleans())
+    def test_proposed_n4096(self, data, debug):
+        n = data.draw(sizes_to_4096)
+        p, q = data.draw(supports(n))
         assert logged(
-            strategies._proposed_core, 4096, *support, debug
-        ) == logged(recursive_proposed_core, 4096, *support, debug)
+            strategies._proposed_core, n, p, q, debug
+        ) == logged(recursive_proposed_core, n, p, q, debug)
 
     @given(st.data())
     def test_nested_n4096_and_non_powers_of_two(self, data):
-        n = data.draw(
-            st.one_of(
-                st.just(4096),
-                st.integers(3, 4095).filter(lambda n: n & (n - 1)),
-            )
-        )
+        n = data.draw(sizes_to_4096)
         p, q = data.draw(supports(n))
         assert logged(strategies._nested_core, n, p, q) == logged(
             recursive_nested_core, n, p, q
         )
 
     @given(
-        st.integers(1, 6),
+        st.integers(2, 65),
         st.booleans(),
         st.lists(st.integers(-1, 3), max_size=30),
     )
-    def test_same_queries_and_errors_on_any_oracle(self, l, debug, answers):
+    def test_same_queries_and_errors_on_any_oracle(self, n, debug, answers):
         # Any sequence of outcomes, true or not, yields the same queries and
         # support, or the same contract error, including both debug checks.
-        n = 1 << l
         assert run_on_oracle(
             strategies._proposed_core, answers, n, debug
         ) == run_on_oracle(recursive_proposed_core, answers, n, debug)
         assert run_on_oracle(
-            strategies._nested_core, answers, n + 1
-        ) == run_on_oracle(recursive_nested_core, answers, n + 1)
+            strategies._nested_core, answers, n
+        ) == run_on_oracle(recursive_nested_core, answers, n)
 
 
 # sha256 of the concatenated ``trace`` text of every transcript at one size,

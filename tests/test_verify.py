@@ -9,7 +9,11 @@ from fractions import Fraction
 import pytest
 
 from coinweigh import verify
-from coinweigh.analysis import nested_closed_forms, t_ave_proposed
+from coinweigh.analysis import (
+    nested_closed_forms,
+    nested_tables,
+    t_ave_proposed,
+)
 from coinweigh.model import (
     InternalContractError,
     InvalidSizeError,
@@ -61,14 +65,25 @@ class TestExhaustiveStats:
             assert count == (8 if delta == 0 else 8 - delta)
         assert sum(c for _, c in stats.per_delta.values()) == config_count(8)
 
-    def test_nested_accepts_odd_sizes(self):
-        stats = exhaustive_stats(5, "nested")
-        assert stats.configs == 15
-        assert stats.l is None
-
-    def test_proposed_needs_power_of_two(self):
-        with pytest.raises(InvalidSizeError):
-            exhaustive_stats(5, "proposed")
+    @pytest.mark.parametrize("strategy", ["proposed", "nested"])
+    def test_accepts_any_size(self, strategy):
+        # Every n = 2..64, powers of two or not: the run recovers every
+        # support (else _run_range raises), visits every configuration and
+        # stays within 2 ceil(log2 n) - 1 weighings.
+        averages = {}
+        for n in range(2, 65):
+            stats = exhaustive_stats(n, strategy, threads=1)
+            assert stats.configs == config_count(n)
+            assert stats.l == (n.bit_length() - 1 if n & (n - 1) == 0 else None)
+            assert stats.max_weighings <= 2 * (n - 1).bit_length() - 1, n
+            averages[n] = stats.average
+        if strategy == "proposed":
+            assert [averages[n] for n in range(2, 9)] == [
+                1, F(11, 6), F(11, 5), F(8, 3), F(64, 21), F(93, 28), F(7, 2)
+            ]
+        else:
+            opt2 = nested_tables(64).opt2
+            assert all(averages[n] == opt2[n] for n in averages)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -236,7 +251,8 @@ class TestRunRange:
     # n = 8 splits inside type I (k < 8), at n (k = 8) and inside every pair
     # row; n = 6 does the same for a size that is not a power of two.
     @pytest.mark.parametrize(
-        "n, strategy", [(8, "proposed"), (8, "nested"), (6, "nested")]
+        "n, strategy",
+        [(8, "proposed"), (8, "nested"), (6, "nested"), (6, "proposed")],
     )
     def test_split_anywhere_merges_to_whole(self, n, strategy):
         total = config_count(n)
