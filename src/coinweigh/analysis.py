@@ -16,7 +16,10 @@ average, where T is the triangular table of joint-round costs.  Per
 separation class d of the two unit coins, the branch weights m give the
 depth distribution of the first joint round.  They depend on d only through
 d_n = min(d, n - d) and are linear in d_n up to the first depth whose half
-no longer fits the class.
+no longer fits the class.  So is the class's expected cost: with each
+depth's cost and the prefix sums of those costs weighted by 2**(i-1) kept
+once per table, one class costs one integer expression, and its value is
+linear in d_n between the cutoffs d_n = 2**k.
 
 The nested strategy's average satisfies a divide-and-conquer recursion in
 hypergeometric split probabilities alpha, each a ratio of falling powers.
@@ -27,9 +30,10 @@ by the midpoint split, giving closed forms at powers of two.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import InvalidSizeError, ProblemSize
@@ -53,6 +57,18 @@ __all__ = [
 ]
 
 
+def _coin_count(l: int) -> int:
+    """n = 2**l for an exponent that ``ProblemSize.from_exponent`` accepts.
+
+    A valid l skips building the ``ProblemSize``, which costs about as much
+    as a whole ``t_given_delta`` call; any other l is handed to it to raise
+    its ``InvalidSizeError``.
+    """
+    if type(l) is int and l >= 1:
+        return 1 << l
+    return ProblemSize.from_exponent(l).n
+
+
 # ---------------------------------------------------------------------------
 # Joint-round cost table
 # ---------------------------------------------------------------------------
@@ -67,10 +83,19 @@ class TTable:
     handled jointly.  Every T[i][j] is dyadic with a denominator dividing
     4**min(i, j), so the table stores the integers U[i][j] = 4**l T[i][j]
     densely for 0 <= i, j <= l, and ``value`` forms the one ``Fraction``.
+    ``depth_rows`` holds the per-depth costs and their weighted prefix sums
+    at size l, which ``t_given_delta`` reads (see ``_depth_rows``).
     """
 
     l: int
     numerators: tuple[tuple[int, ...], ...]
+    depth_rows: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        rows = _depth_rows(self.l, self.l, self.numerators)
+        object.__setattr__(self, "depth_rows", rows)
 
     def value(self, i: int, j: int) -> Fraction:
         if not (0 <= i <= self.l and 0 <= j <= self.l):
@@ -107,7 +132,7 @@ def t_table(l: int) -> TTable:
     multiple of 4**(l-i+1), a multiple of 4 since i <= l; and 3 * 4**l is
     even because i >= 1 forces l >= 1.
     """
-    if not isinstance(l, int) or l < 0:
+    if type(l) is not int or l < 0:
         raise InvalidSizeError(f"table size must be an integer >= 0, got {l!r}")
 
     scale = 4**l
@@ -126,6 +151,28 @@ def t_table(l: int) -> TTable:
             u[i][k] = v
             u[k][i] = v
     return TTable(l=l, numerators=tuple(tuple(row) for row in u))
+
+
+def _depth_rows(
+    l: int, table_l: int, u: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-depth costs at size n = 2**l, scaled by 4**``table_l``.
+
+    Returns (C, S).  C[i] = (i + 1) 4**L + U[l-i-1][l-i-1] is 4**L times the
+    expected cost of a first joint round at depth i < l, and C[l] = l 4**L
+    that of pure bisection.  S[j] = sum_{i<j} w_i C[i] with w_0 = 1 and
+    w_i = 2**(i-1): the depths before a class's cutoff take shares
+    d_n w_i, so S[j] is their cost per unit of d_n.
+    """
+    scale = 4**table_l
+    costs = [(i + 1) * scale + u[l - i - 1][l - i - 1] for i in range(l)]
+    costs.append(l * scale)
+    prefix = [0]
+    total = 0
+    for i in range(l):
+        total += costs[i] << (i - 1) if i else costs[i]
+        prefix.append(total)
+    return tuple(costs), tuple(prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +199,17 @@ class BranchWeights:
     m: tuple[Fraction, ...]
 
 
+def _folded(l: int, delta: int) -> int:
+    """Check ``delta`` against n = 2**l and return d_n = min(delta, n - delta)."""
+    n = _coin_count(l)
+    if type(delta) is not int or not 0 <= delta <= n - 1:
+        raise InvalidSizeError(f"delta must be an integer in 0..{n - 1}, got {delta!r}")
+    return min(delta, n - delta)
+
+
 def _shares(l: int, delta: int) -> tuple[int, int, list[int]]:
     """Check ``delta`` and return (d_n, h, shares) with m[i] = shares[i] / h."""
-    size = ProblemSize.from_exponent(l)
-    if not 0 <= delta <= size.n - 1:
-        raise InvalidSizeError(f"delta must be in 0..{size.n - 1}, got {delta}")
-    dn = min(delta, size.n - delta)
+    dn = _folded(l, delta)
     h = 1 << (l - 1)
     shares = [0] * (l + 1)
     rest = h  # mass not yet assigned, in units of 1/h
@@ -186,20 +238,28 @@ def t_given_delta(l: int, delta: int, table: TTable | None = None) -> Fraction:
     empirical conditional mean can genuinely differ.
 
     The value is sum_{i<l} m[i] (i + 1 + T[l-i-1][l-i-1]) + m[l] l.  With
-    the branch weights as integer shares m[i] = share_i / h and the table
-    as U = 4**L T, where L = ``table.l`` may exceed l, each term is an
-    integer over h 4**L; the terms are summed as integers and divided once.
+    h = n/2 and the table as U = 4**L T, where L = ``table.l`` may exceed l,
+    the branch weights are m[i] = d_n w_i / h (w_0 = 1, w_i = 2**(i-1)) for
+    every depth i before the cutoff j = l - bitlen(d_n), and depth j takes
+    the rest, rest = h - d_n 2**(j-1) (h when j = 0).  So, with the depth
+    costs C and their prefix sums S of ``_depth_rows``,
+
+        t = (d_n S[j] + rest C[j]) / (h 4**L),
+
+    which is linear in d_n between the cutoffs d_n = 2**k.  A table of
+    size l carries C and S; a larger table has them built for l here.
     """
-    _, h, shares = _shares(l, delta)
+    dn = _folded(l, delta)
     if table is None or table.l < l:
         table = t_table(l)
-    scale = 4**table.l
-    u = table.numerators
-    total = shares[l] * l * scale
-    for i in range(l):
-        k = l - i - 1
-        total += shares[i] * ((i + 1) * scale + u[k][k])
-    return Fraction(total, h * scale)
+    if table.l == l:
+        costs, prefix = table.depth_rows
+    else:
+        costs, prefix = _depth_rows(l, table.l, table.numerators)
+    h = 1 << (l - 1)
+    j = l - dn.bit_length()
+    rest = h - (dn << (j - 1)) if j else h
+    return Fraction(dn * prefix[j] + rest * costs[j], h * 4**table.l)
 
 
 def t_ave_proposed(l: int, mode: str = "exact") -> Fraction | float:
@@ -212,27 +272,24 @@ def t_ave_proposed(l: int, mode: str = "exact") -> Fraction | float:
 
         t_ave = (2l + sum_{i<l} 2**(l-i-1) (i + 1 + T[l-i-1][l-i-1])) / (n+1).
 
-    With the diagonal read as U = 4**l T, the sum is an integer over
-    4**l (n+1), built on integers and divided once.  Exact mode returns
-    that Fraction for any l; float mode returns its rounding to the nearest
-    binary64.
+    With the table's depth costs C = 4**l (i + 1 + T[l-i-1][l-i-1]) and
+    C[l] = 4**l l (see ``_depth_rows``), the sum is the integer
+    2 C[l] + sum_{i<l} 2**(l-i-1) C[i] over 4**l (n+1), divided once.
+    Exact mode returns that Fraction for any l; float mode returns its
+    rounding to the nearest binary64.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    size = ProblemSize.from_exponent(l)
-    u = t_table(l).numerators
-    scale = 4**l
-    total = 2 * l * scale
-    for i in range(l):
-        k = l - i - 1
-        total += ((i + 1) * scale + u[k][k]) << k
-    exact = Fraction(total, scale * (size.n + 1))
+    n = _coin_count(l)
+    costs, _ = t_table(l).depth_rows
+    total = 2 * costs[l] + sum(costs[i] << (l - i - 1) for i in range(l))
+    exact = Fraction(total, 4**l * (n + 1))
     return exact if mode == "exact" else float(exact)
 
 
 def t_max(l: int) -> int:
     """Worst-case weighings at n = 2**l: 2l - 1, for both strategies."""
-    ProblemSize.from_exponent(l)
+    _coin_count(l)
     return 2 * l - 1
 
 
@@ -247,7 +304,7 @@ def alpha(s: int, m: int, i: int, j: int) -> Fraction:
     0 <= m - j <= s - i.  Computed as the equal ratio of falling powers
     m^(j) (s-m)^(i-j) / s^(i), whose factors have at most i terms.
     """
-    if not (isinstance(s, int) and s >= 2):
+    if type(s) is not int or s < 2:
         raise InvalidSizeError(f"need s >= 2, got {s!r}")
     if not 1 <= m <= s - 1:
         raise InvalidSizeError(f"need 1 <= m <= s-1, got m={m!r}")
@@ -257,6 +314,10 @@ def alpha(s: int, m: int, i: int, j: int) -> Fraction:
         return Fraction(0)
     captured = math.perm(m, j) * math.perm(s - m, i - j)
     return Fraction(captured, math.perm(s, i))
+
+
+# Sizes 0 and 1 of every nested table: a region of one coin is resolved.
+_ZEROS = [Fraction(0), Fraction(0)]
 
 
 class NestedTables:
@@ -291,32 +352,49 @@ class NestedTables:
 
     since every placement pays that weighing, and a pair split across the
     parts searches each part for one coin once per place of the other.  No
-    step divides.  The public values are opt1 = e1/s, opt22 = e22/C(s, 2)
-    and opt2 = 2(e1 + e22)/(s(s+1)), which is the prior mix
-    (2 opt1 + (s-1) opt22)/(s+1), each formed once as a ``Fraction``; the
-    tables are the midpoint case of the same expressions that ``split_*``
-    evaluate at any m.
+    step divides.  Construction fills only these integer tables.  The
+    public values are opt1 = e1/s, opt22 = e22/C(s, 2) and
+    opt2 = 2(e1 + e22)/(s(s+1)), which is the prior mix
+    (2 opt1 + (s-1) opt22)/(s+1).  Each rational table is formed as a list
+    of ``Fraction``s on its first read and kept, so a caller pays only for
+    the tables it reads; the tables are the midpoint case of the same
+    expressions that ``split_*`` evaluate at any m.
     """
 
     def __init__(self, s_max: int):
-        if not isinstance(s_max, int) or s_max < 2:
+        if type(s_max) is not int or s_max < 2:
             raise InvalidSizeError(f"need s_max >= 2, got {s_max!r}")
         self.s_max = s_max
-        # Size-1 regions are resolved: every table starts at 0.
-        self._e1 = [0] * (s_max + 1)
-        self._e22 = [0] * (s_max + 1)
-        sizes = range(2, s_max + 1)
-        for s in sizes:
+        self._e1 = e1 = [0] * (s_max + 1)
+        self._e22 = e22 = [0] * (s_max + 1)
+        paths1, paths22 = self._paths1, self._paths22
+        for s in range(2, s_max + 1):
             m = s // 2
-            self._e1[s] = self._paths1(s, m)
-            self._e22[s] = self._paths22(s, m)
+            e1[s] = paths1(s, m)
+            e22[s] = paths22(s, m)
+
+    @functools.cached_property
+    def opt1(self) -> list[Fraction]:
+        e1 = self._e1
+        return _ZEROS + [Fraction(e1[s], s) for s in range(2, self.s_max + 1)]
+
+    @property
+    def opt21(self) -> list[Fraction]:
+        return self.opt1
+
+    @functools.cached_property
+    def opt22(self) -> list[Fraction]:
+        e22 = self._e22
+        return _ZEROS + [
+            Fraction(e22[s], math.comb(s, 2)) for s in range(2, self.s_max + 1)
+        ]
+
+    @functools.cached_property
+    def opt2(self) -> list[Fraction]:
         e1, e22 = self._e1, self._e22
-        zero = Fraction(0)
-        self.opt1 = [zero, zero] + [Fraction(e1[s], s) for s in sizes]
-        self.opt21 = self.opt1
-        self.opt22 = [zero, zero] + [Fraction(e22[s], math.comb(s, 2)) for s in sizes]
-        self.opt2 = [zero, zero] + [
-            Fraction(2 * (e1[s] + e22[s]), s * (s + 1)) for s in sizes
+        return _ZEROS + [
+            Fraction(2 * (e1[s] + e22[s]), s * (s + 1))
+            for s in range(2, self.s_max + 1)
         ]
 
     def _paths1(self, s: int, m: int) -> int:
@@ -363,7 +441,7 @@ def nested_closed_forms(i: int) -> tuple[Fraction, Fraction]:
     opt1[2**i] = i and opt2[2**i] = ((i-1) 2**(i+1) + i + 2) / (2**i + 1),
     which equals ((2n+1) log2 n - 2(n-1)) / (n+1) at n = 2**i.
     """
-    if not isinstance(i, int) or i < 0:
+    if type(i) is not int or i < 0:
         raise InvalidSizeError(f"need i >= 0, got {i!r}")
     opt2 = Fraction((i - 1) * (1 << (i + 1)) + i + 2, (1 << i) + 1)
     return Fraction(i), opt2
@@ -392,7 +470,7 @@ def lower_bounds(n: int) -> Bounds:
     log3 computed as a ratio of natural logs, so n + 1 must not exceed the
     largest binary64 value (just under 2**1024).
     """
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise InvalidSizeError(f"need n >= 2, got {n!r}")
     if n + 1 > sys.float_info.max:
         raise InvalidSizeError(

@@ -72,14 +72,18 @@ class InternalContractError(CoinWeighError, RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemSize:
-    """A validated problem size n = 2**l with l >= 1."""
+    """A validated problem size n = 2**l with l >= 1.
+
+    l must be of type ``int``: a ``bool`` equals 0 or 1 and a ``float`` may
+    equal an integer, but neither is a size.
+    """
 
     l: int
     n: int
 
     @classmethod
     def from_exponent(cls, l: int) -> "ProblemSize":
-        if not isinstance(l, int) or l < 1:
+        if type(l) is not int or l < 1:
             raise InvalidSizeError(f"exponent must be an integer >= 1, got {l!r}")
         return cls(l=l, n=1 << l)
 
@@ -182,7 +186,18 @@ class Configuration:
         return p == q
 
     def as_text(self) -> str:
-        return ",".join(str(v) for v in self.weights)
+        """The weight list as ``from_text`` reads it, e.g. ``0,0,1,0,0,1``.
+
+        Rendered from the located support, whose coins are checked ints, so
+        zero entries given as ``False`` or ``0.0`` are written as ``0``.
+        """
+        p, q = self.positions
+        parts = ["0"] * len(self.weights)
+        if p == q:
+            parts[p - 1] = str(TOTAL_WEIGHT)
+        else:
+            parts[p - 1] = parts[q - 1] = "1"
+        return ",".join(parts)
 
 
 def delta_of(config: Configuration) -> int:

@@ -221,8 +221,9 @@ class TestTTable:
             table.value(0, 3)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidSizeError):
-            t_table(-1)
+        for bad in (-1, True, 2.0, None):
+            with pytest.raises(InvalidSizeError):
+                t_table(bad)
 
 
 class TestBranchWeights:
@@ -259,10 +260,9 @@ class TestBranchWeights:
             assert bw.delta_n == min(delta, (1 << l) - delta)
 
     def test_delta_range_checked(self):
-        with pytest.raises(InvalidSizeError):
-            branch_weights(2, 4)
-        with pytest.raises(InvalidSizeError):
-            branch_weights(2, -1)
+        for delta in (4, -1, True, 1.5, None):
+            with pytest.raises(InvalidSizeError):
+                branch_weights(2, delta)
 
 
 class TestTGivenDelta:
@@ -291,10 +291,11 @@ class TestTGivenDelta:
         table = t_table(4)
         assert t_given_delta(4, 1, table=table) == t_given_delta(4, 1)
 
-    @pytest.mark.parametrize("l", range(1, 10))
+    @pytest.mark.parametrize("l", range(1, 12))
     def test_matches_fraction_route(self, l):
-        # Own table, a larger prebuilt one (scaled by 4**12, not 4**l), and
-        # one too small, which is rebuilt.
+        # Own table (its stored depth rows), a larger prebuilt one (scaled
+        # by 4**12, not 4**l, with the rows built in the call), and one too
+        # small, which is rebuilt.
         ref = fraction_t_table(l)
         tables = (None, t_table(12), t_table(l - 1))
         for delta in range(1 << l):
@@ -307,6 +308,15 @@ class TestTGivenDelta:
             t_given_delta(3, 8)
         with pytest.raises(InvalidSizeError):
             t_given_delta(3, -1, t_table(3))
+        # Equal to a legal class, or not a number, but not an int.
+        for delta in (True, False, 1.5, 2.0, None, "1"):
+            with pytest.raises(InvalidSizeError):
+                t_given_delta(3, delta)
+            with pytest.raises(InvalidSizeError):
+                t_given_delta(3, delta, t_table(3))
+        for l in (0, True, 3.0, None):
+            with pytest.raises(InvalidSizeError):
+                t_given_delta(l, 1)
 
     @pytest.mark.parametrize("l", range(1, 11))
     def test_class_mix_equals_average(self, l):
@@ -338,6 +348,13 @@ class TestTAveProposed:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             t_ave_proposed(3, mode="exactly")
+
+    @pytest.mark.parametrize("bad", [0, True, 3.0])
+    def test_rejects_bad_sizes(self, bad):
+        with pytest.raises(InvalidSizeError):
+            t_ave_proposed(bad)
+        with pytest.raises(InvalidSizeError):
+            t_max(bad)
 
     @pytest.mark.xfail(
         strict=True,
@@ -417,6 +434,16 @@ class TestNestedTables:
         tables = NestedTables(8)
         assert tables.opt21 is tables.opt1
         assert NestedTables.split_t21 is NestedTables.split_t1
+        # Whichever of the two is read first.
+        tables = NestedTables(8)
+        assert tables.opt1 is tables.opt21
+
+    @pytest.mark.parametrize("name", ["opt1", "opt21", "opt22", "opt2"])
+    def test_rational_tables_formed_once(self, name):
+        tables = NestedTables(16)
+        first = getattr(tables, name)
+        assert getattr(tables, name) is first
+        assert len(first) == 17
 
     def test_s4096_closed_forms(self):
         # The size cross_check(12) builds.
@@ -516,6 +543,11 @@ class TestNestedClosedForms:
     def test_rejects_negative(self):
         with pytest.raises(InvalidSizeError):
             nested_closed_forms(-1)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0])
+    def test_rejects_non_int(self, bad):
+        with pytest.raises(InvalidSizeError):
+            nested_closed_forms(bad)
 
 
 class TestLowerBounds:

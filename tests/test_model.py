@@ -37,7 +37,7 @@ class TestProblemSize:
         size = ProblemSize.from_exponent(3)
         assert (size.l, size.n) == (3, 8)
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True, False, 2.0, None])
     def test_rejects_bad_exponents(self, bad):
         with pytest.raises(InvalidSizeError):
             ProblemSize.from_exponent(bad)
@@ -114,6 +114,18 @@ class TestConfiguration:
         config = Configuration.from_text("0,0,1,0,0,1,0,0")
         assert config.weights == (0, 0, 1, 0, 0, 1, 0, 0)
         assert config.as_text() == "0,0,1,0,0,1,0,0"
+
+    @pytest.mark.parametrize(
+        "weights, text", [((2, False, 0.0), "2,0,0"), ((0.0, 1, 1), "0,1,1")]
+    )
+    def test_text_round_trip_of_non_int_zeros(self, weights, text):
+        # Zero entries are compared by value only, so they may be any
+        # zero; the text form writes them as 0 and reads back as ints.
+        config = Configuration(weights)
+        assert config.as_text() == text
+        again = Configuration.from_text(text)
+        assert again.as_text() == text
+        assert again.positions == config.positions
 
     def test_from_text_rejects_garbage(self):
         with pytest.raises(InvalidConfigurationError):

@@ -311,6 +311,8 @@ class TestCrossCheck:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidSizeError):
             cross_check(0)
+        with pytest.raises(InvalidSizeError):
+            cross_check(True)
         with pytest.raises(TooLargeError):
             cross_check(13)
 
