@@ -19,7 +19,8 @@ d_n = min(d, n - d) and are linear in d_n up to the first depth whose half
 no longer fits the class.  So is the class's expected cost: with each
 depth's cost and the prefix sums of those costs weighted by 2**(i-1) kept
 once per table, one class costs one integer expression, and its value is
-linear in d_n between the cutoffs d_n = 2**k.
+linear in d_n between the cutoffs d_n = 2**k.  A class at size l reads the
+table of size l: a table of another size is rebuilt, never rescaled.
 
 The nested strategy's average satisfies a divide-and-conquer recursion in
 hypergeometric split probabilities alpha, each a ratio of falling powers.
@@ -36,7 +37,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import InvalidSizeError, ProblemSize
+from .model import InvalidSizeError, _coin_count
 
 __all__ = [
     "TTable",
@@ -57,18 +58,6 @@ __all__ = [
 ]
 
 
-def _coin_count(l: int) -> int:
-    """n = 2**l for an exponent that ``ProblemSize.from_exponent`` accepts.
-
-    A valid l skips building the ``ProblemSize``, which costs about as much
-    as a whole ``t_given_delta`` call; any other l is handed to it to raise
-    its ``InvalidSizeError``.
-    """
-    if type(l) is int and l >= 1:
-        return 1 << l
-    return ProblemSize.from_exponent(l).n
-
-
 # ---------------------------------------------------------------------------
 # Joint-round cost table
 # ---------------------------------------------------------------------------
@@ -84,7 +73,8 @@ class TTable:
     4**min(i, j), so the table stores the integers U[i][j] = 4**l T[i][j]
     densely for 0 <= i, j <= l, and ``value`` forms the one ``Fraction``.
     ``depth_rows`` holds the per-depth costs and their weighted prefix sums
-    at size l, which ``t_given_delta`` reads (see ``_depth_rows``).
+    at size l, which ``t_given_delta`` reads (see ``_depth_rows``); a class
+    at another size reads the rows of a table built for that size.
     """
 
     l: int
@@ -94,13 +84,14 @@ class TTable:
     )
 
     def __post_init__(self) -> None:
-        rows = _depth_rows(self.l, self.l, self.numerators)
+        rows = _depth_rows(self.l, self.numerators)
         object.__setattr__(self, "depth_rows", rows)
 
     def value(self, i: int, j: int) -> Fraction:
-        if not (0 <= i <= self.l and 0 <= j <= self.l):
-            raise InvalidSizeError(f"indices ({i}, {j}) outside 0..{self.l}")
-        return Fraction(self.numerators[i][j], 4**self.l)
+        l = self.l
+        if not (type(i) is int and type(j) is int and 0 <= i <= l and 0 <= j <= l):
+            raise InvalidSizeError(f"need integer indices in 0..{l}, got {i!r}, {j!r}")
+        return Fraction(self.numerators[i][j], 4**l)
 
 
 def t_table(l: int) -> TTable:
@@ -154,17 +145,18 @@ def t_table(l: int) -> TTable:
 
 
 def _depth_rows(
-    l: int, table_l: int, u: tuple[tuple[int, ...], ...]
+    l: int, u: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-depth costs at size n = 2**l, scaled by 4**``table_l``.
+    """Per-depth costs at size n = 2**l, on the scale 4**l of U = 4**l T.
 
-    Returns (C, S).  C[i] = (i + 1) 4**L + U[l-i-1][l-i-1] is 4**L times the
-    expected cost of a first joint round at depth i < l, and C[l] = l 4**L
+    Returns (C, S).  C[i] = (i + 1) 4**l + U[l-i-1][l-i-1] is 4**l times the
+    expected cost of a first joint round at depth i < l, and C[l] = l 4**l
     that of pure bisection.  S[j] = sum_{i<j} w_i C[i] with w_0 = 1 and
     w_i = 2**(i-1): the depths before a class's cutoff take shares
-    d_n w_i, so S[j] is their cost per unit of d_n.
+    d_n w_i, so S[j] is their cost per unit of d_n.  Only a table of size l
+    has these rows; nothing is rescaled to another size.
     """
-    scale = 4**table_l
+    scale = 4**l
     costs = [(i + 1) * scale + u[l - i - 1][l - i - 1] for i in range(l)]
     costs.append(l * scale)
     prefix = [0]
@@ -199,33 +191,31 @@ class BranchWeights:
     m: tuple[Fraction, ...]
 
 
-def _folded(l: int, delta: int) -> int:
-    """Check ``delta`` against n = 2**l and return d_n = min(delta, n - delta)."""
+def _cutoff(l: int, delta: int) -> tuple[int, int, int, int]:
+    """Check ``delta`` against n = 2**l and locate its class's cutoff.
+
+    Returns (d_n, h, j, rest) with d_n = min(delta, n - delta) and h = n/2.
+    In units of 1/h, depth i takes the share d_n w_i (w_0 = 1,
+    w_i = 2**(i-1)) while d_n < 2**(l-i-1), so the cutoff is
+    j = l - bitlen(d_n), and depth j takes rest = h - d_n 2**(j-1) (h at j = 0).
+    """
     n = _coin_count(l)
     if type(delta) is not int or not 0 <= delta <= n - 1:
         raise InvalidSizeError(f"delta must be an integer in 0..{n - 1}, got {delta!r}")
-    return min(delta, n - delta)
-
-
-def _shares(l: int, delta: int) -> tuple[int, int, list[int]]:
-    """Check ``delta`` and return (d_n, h, shares) with m[i] = shares[i] / h."""
-    dn = _folded(l, delta)
-    h = 1 << (l - 1)
-    shares = [0] * (l + 1)
-    rest = h  # mass not yet assigned, in units of 1/h
-    for i in range(l + 1):
-        if i == l or dn >= 1 << (l - i - 1):
-            shares[i] = rest
-            break
-        share = dn << (i - 1) if i else dn
-        shares[i] = share
-        rest -= share
-    return dn, h, shares
+    dn = min(delta, n - delta)
+    h = n >> 1
+    j = l - dn.bit_length()
+    rest = h - (dn << (j - 1)) if j else h
+    return dn, h, j, rest
 
 
 def branch_weights(l: int, delta: int) -> BranchWeights:
-    """Exact branch weights for separation class ``delta`` at size n = 2**l."""
-    dn, h, shares = _shares(l, delta)
+    """Exact branch weights for separation class ``delta`` at size n = 2**l.
+
+    From ``_cutoff``: m[i] = d_n w_i / h before j, rest / h at j, 0 after.
+    """
+    dn, h, j, rest = _cutoff(l, delta)
+    shares = [dn << (i - 1) if i else dn for i in range(j)] + [rest] + [0] * (l - j)
     m = tuple(Fraction(share, h) for share in shares)
     return BranchWeights(l=l, delta=delta, delta_n=dn, m=m)
 
@@ -238,28 +228,23 @@ def t_given_delta(l: int, delta: int, table: TTable | None = None) -> Fraction:
     empirical conditional mean can genuinely differ.
 
     The value is sum_{i<l} m[i] (i + 1 + T[l-i-1][l-i-1]) + m[l] l.  With
-    h = n/2 and the table as U = 4**L T, where L = ``table.l`` may exceed l,
-    the branch weights are m[i] = d_n w_i / h (w_0 = 1, w_i = 2**(i-1)) for
-    every depth i before the cutoff j = l - bitlen(d_n), and depth j takes
-    the rest, rest = h - d_n 2**(j-1) (h when j = 0).  So, with the depth
-    costs C and their prefix sums S of ``_depth_rows``,
+    h = n/2, the branch weights are m[i] = d_n w_i / h (w_0 = 1,
+    w_i = 2**(i-1)) for every depth i before the cutoff j, and depth j takes
+    m[j] = rest / h (see ``_cutoff``).  So, with the depth costs C and their
+    prefix sums S that the table of size l keeps (``_depth_rows``, scaled
+    by 4**l),
 
-        t = (d_n S[j] + rest C[j]) / (h 4**L),
+        t = (d_n S[j] + rest C[j]) / (h 4**l),
 
-    which is linear in d_n between the cutoffs d_n = 2**k.  A table of
-    size l carries C and S; a larger table has them built for l here.
+    which is linear in d_n between the cutoffs d_n = 2**k.  ``table`` is
+    used when its size is l; a table of any other size, or none, is
+    replaced by ``t_table(l)``.
     """
-    dn = _folded(l, delta)
-    if table is None or table.l < l:
+    dn, h, j, rest = _cutoff(l, delta)
+    if table is None or table.l != l:
         table = t_table(l)
-    if table.l == l:
-        costs, prefix = table.depth_rows
-    else:
-        costs, prefix = _depth_rows(l, table.l, table.numerators)
-    h = 1 << (l - 1)
-    j = l - dn.bit_length()
-    rest = h - (dn << (j - 1)) if j else h
-    return Fraction(dn * prefix[j] + rest * costs[j], h * 4**table.l)
+    costs, prefix = table.depth_rows
+    return Fraction(dn * prefix[j] + rest * costs[j], h * 4**l)
 
 
 def t_ave_proposed(l: int, mode: str = "exact") -> Fraction | float:
@@ -306,8 +291,10 @@ def alpha(s: int, m: int, i: int, j: int) -> Fraction:
     """
     if type(s) is not int or s < 2:
         raise InvalidSizeError(f"need s >= 2, got {s!r}")
-    if not 1 <= m <= s - 1:
+    if type(m) is not int or not 1 <= m <= s - 1:
         raise InvalidSizeError(f"need 1 <= m <= s-1, got m={m!r}")
+    if type(i) is not int or type(j) is not int:
+        raise InvalidSizeError(f"need integer i and j, got i={i!r}, j={j!r}")
     if i < 0 or j < 0 or j > i:
         return Fraction(0)
     if not 0 <= m - j <= s - i:
@@ -407,10 +394,10 @@ class NestedTables:
         )
 
     def _require(self, s: int, m: int) -> None:
-        if not 2 <= s <= self.s_max:
-            raise InvalidSizeError(f"s must be in 2..{self.s_max}, got {s}")
-        if not 1 <= m <= s - 1:
-            raise InvalidSizeError(f"split must be in 1..{s - 1}, got {m}")
+        if type(s) is not int or not 2 <= s <= self.s_max:
+            raise InvalidSizeError(f"s must be in 2..{self.s_max}, got {s!r}")
+        if type(m) is not int or not 1 <= m <= s - 1:
+            raise InvalidSizeError(f"split must be in 1..{s - 1}, got {m!r}")
 
     def split_t1(self, s: int, m: int) -> Fraction:
         """Expected cost of locating one coin when the first weighing takes m."""

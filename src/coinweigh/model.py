@@ -83,9 +83,14 @@ class ProblemSize:
 
     @classmethod
     def from_exponent(cls, l: int) -> "ProblemSize":
-        if type(l) is not int or l < 1:
-            raise InvalidSizeError(f"exponent must be an integer >= 1, got {l!r}")
-        return cls(l=l, n=1 << l)
+        return cls(l=l, n=_coin_count(l))
+
+
+def _coin_count(l: int) -> int:
+    """n = 2**l, once l is checked to be an ``int`` >= 1 (see ``ProblemSize``)."""
+    if type(l) is not int or l < 1:
+        raise InvalidSizeError(f"exponent must be an integer >= 1, got {l!r}")
+    return 1 << l
 
 
 def require_enumerable(n: int) -> None:
@@ -145,8 +150,10 @@ class Configuration:
     @classmethod
     def type_one(cls, n: int, pos: int) -> "Configuration":
         """The configuration with coin ``pos`` weighing 2."""
-        if not 1 <= pos <= n:
-            raise InvalidConfigurationError(f"position {pos} not in 1..{n}")
+        if type(pos) is not int or not 1 <= pos <= n:
+            raise InvalidConfigurationError(
+                f"position must be an integer in 1..{n}, got {pos!r}"
+            )
         w = [0] * n
         w[pos - 1] = 2
         return cls(tuple(w))
@@ -154,8 +161,8 @@ class Configuration:
     @classmethod
     def type_two(cls, n: int, i: int, j: int) -> "Configuration":
         """The configuration with coins ``i`` < ``j`` each weighing 1."""
-        if not (1 <= i < j <= n):
-            raise InvalidConfigurationError(f"need 1 <= i < j <= n, got {i}, {j}")
+        if type(i) is not int or type(j) is not int or not 1 <= i < j <= n:
+            raise InvalidConfigurationError(f"need 1 <= i < j <= n, got {i!r}, {j!r}")
         w = [0] * n
         w[i - 1] = 1
         w[j - 1] = 1

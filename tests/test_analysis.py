@@ -201,6 +201,42 @@ class TestTTable:
             assert table.value(k, k) == d, k
             assert table.value(k, k + 1) == e, k
 
+    def test_diagonal_pair_closed_forms_proof(self):
+        # Proof for every k of D_k = T[k][k] = 4k/3 + (2/9)(1 - 4^-k) and
+        # E_k = T[k][k+1] = 4k/3 + 8/9 + (1/9) 4^-k.  ``t_table``'s rule on
+        # the diagonal and the first off-diagonal reads
+        #   D_k = (3/4) D_{k-1} + (1/4) E_{k-2} + 3/2   for k >= 2,
+        #   E_k = (3/4) E_{k-1} + (1/4) D_{k-1} + 3/2   for k >= 1,
+        # and from the bases D_0, D_1 and E_0 these determine every D_k and
+        # E_k.  A form a + b k + c 4^-k is the triple (a, b, c); each
+        # residual of the recurrences stays in span{1, k, 4^-k}, so its
+        # three coefficients being 0 proves the forms satisfy them at every k.
+        def shifted(form, s):
+            # f(k - s) = (a - s b) + b k + 4^s c 4^-k
+            a, b, c = form
+            return (a - s * b, b, 4**s * c)
+
+        def residual(lhs, near, far):
+            # lhs - (3/4) near - (1/4) far - 3/2, coefficient by coefficient
+            const = (F(3, 2), 0, 0)
+            return tuple(
+                x - F(3, 4) * y - F(1, 4) * z - w
+                for x, y, z, w in zip(lhs, near, far, const)
+            )
+
+        def at(form, k):
+            a, b, c = form
+            return a + b * k + c * F(1, 4**k)
+
+        d = (F(2, 9), F(4, 3), F(-2, 9))
+        e = (F(8, 9), F(4, 3), F(1, 9))
+        assert residual(d, shifted(d, 1), shifted(e, 2)) == (0, 0, 0)
+        assert residual(e, shifted(e, 1), shifted(d, 1)) == (0, 0, 0)
+        table = t_table(1)
+        assert table.value(0, 0) == at(d, 0) == 0
+        assert table.value(1, 1) == at(d, 1) == F(3, 2)
+        assert table.value(0, 1) == at(e, 0) == 1
+
     def test_matches_fraction_recursion(self):
         ref = fraction_t_table(24)
         for l in range(25):
@@ -219,6 +255,12 @@ class TestTTable:
         table = t_table(2)
         with pytest.raises(InvalidSizeError):
             table.value(0, 3)
+        # Equal to a legal index, or not a number, but not an int.
+        for bad in (True, False, 1.0, 2.0, None):
+            with pytest.raises(InvalidSizeError):
+                table.value(bad, 1)
+            with pytest.raises(InvalidSizeError):
+                table.value(1, bad)
 
     def test_rejects_bad_arguments(self):
         for bad in (-1, True, 2.0, None):
@@ -293,9 +335,8 @@ class TestTGivenDelta:
 
     @pytest.mark.parametrize("l", range(1, 12))
     def test_matches_fraction_route(self, l):
-        # Own table (its stored depth rows), a larger prebuilt one (scaled
-        # by 4**12, not 4**l, with the rows built in the call), and one too
-        # small, which is rebuilt.
+        # Own table (its stored depth rows), and a larger and a smaller
+        # one: a table of another size is replaced by t_table(l).
         ref = fraction_t_table(l)
         tables = (None, t_table(12), t_table(l - 1))
         for delta in range(1 << l):
@@ -351,9 +392,10 @@ class TestTAveProposed:
 
     @pytest.mark.parametrize("bad", [0, True, 3.0])
     def test_rejects_bad_sizes(self, bad):
-        with pytest.raises(InvalidSizeError):
+        # The exponent rule of ``ProblemSize.from_exponent``, word for word.
+        with pytest.raises(InvalidSizeError, match="^exponent must be an integer >= 1"):
             t_ave_proposed(bad)
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(InvalidSizeError, match="^exponent must be an integer >= 1"):
             t_max(bad)
 
     @pytest.mark.xfail(
@@ -415,6 +457,14 @@ class TestAlpha:
             alpha(4, 0, 1, 0)
         with pytest.raises(InvalidSizeError):
             alpha(4, 4, 1, 0)
+        # Equal to a legal m, i or j, or not a number, but not an int.
+        for bad in (True, 1.0, 1.5, None):
+            with pytest.raises(InvalidSizeError):
+                alpha(4, bad, 1, 1)
+            with pytest.raises(InvalidSizeError):
+                alpha(4, 2, bad, 1)
+            with pytest.raises(InvalidSizeError):
+                alpha(4, 2, 1, bad)
 
 
 @pytest.fixture(scope="module")
@@ -520,6 +570,13 @@ class TestNestedTables:
             tables.split_t1(2, 2)
         with pytest.raises(InvalidSizeError):
             tables.split_t1(300, 1)
+        # Equal to a legal s or split, or not a number, but not an int.
+        for split in (tables.split_t1, tables.split_t22, tables.split_t2):
+            for bad in (True, 2.0, None):
+                with pytest.raises(InvalidSizeError):
+                    split(4, bad)
+            with pytest.raises(InvalidSizeError):
+                split(4.0, 2)
         with pytest.raises(InvalidSizeError):
             nested_tables(1)
 

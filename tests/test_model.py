@@ -62,6 +62,16 @@ class TestConfiguration:
         with pytest.raises(InvalidConfigurationError):
             Configuration.type_two(4, 3, 2)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, 2.0, None])
+    def test_positions_must_be_ints(self, bad):
+        # True equals 1 and 2.0 equals 2, but neither is a position.
+        with pytest.raises(InvalidConfigurationError):
+            Configuration.type_one(4, bad)
+        with pytest.raises(InvalidConfigurationError):
+            Configuration.type_two(4, bad, 3)
+        with pytest.raises(InvalidConfigurationError):
+            Configuration.type_two(4, 1, bad)
+
     @pytest.mark.parametrize(
         "weights",
         [
