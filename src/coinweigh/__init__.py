@@ -16,12 +16,9 @@ from .model import (
     InvalidConfigurationError,
     InvalidSizeError,
     InvalidSubsetError,
-    ProblemSize,
     TooLargeError,
     config_count,
-    delta_of,
     enumerate_configs,
-    parse_subset,
     validate_subset,
     weigh,
 )
@@ -63,12 +60,9 @@ __all__ = [
     "InvalidConfigurationError",
     "InvalidSizeError",
     "InvalidSubsetError",
-    "ProblemSize",
     "TooLargeError",
     "config_count",
-    "delta_of",
     "enumerate_configs",
-    "parse_subset",
     "validate_subset",
     "weigh",
     "Transcript",

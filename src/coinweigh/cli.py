@@ -30,7 +30,7 @@ from .model import (
     Configuration,
     ENUMERATION_CAP_L,
     InternalContractError,
-    ProblemSize,
+    _coin_count,
 )
 from .strategies import Transcript, run_nested, run_proposed
 
@@ -73,7 +73,7 @@ def _size_row(l: int, exact: bool) -> dict:
     The proposed average is a Fraction when ``exact`` and its binary64
     rounding otherwise; the nested average is always a Fraction.
     """
-    n = ProblemSize.from_exponent(l).n
+    n = _coin_count(l)
     # The bounds reject sizes too large for binary64, so they go first.
     bounds = analysis.lower_bounds(n)
     worst = analysis.t_max(l)

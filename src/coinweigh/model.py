@@ -21,8 +21,8 @@ sees the readings and never the support.
 
 Which coin counts can be enumerated is decided in one place,
 ``require_enumerable``: every n with 2 <= n <= 2**ENUMERATION_CAP_L.  Both
-strategies run at every such n; ``ProblemSize`` (n = 2**l) indexes the
-analytic rows by l.
+strategies run at every such n.  The analytic rows are indexed by l, with
+n = 2**l; ``_coin_count`` is the one check of l.
 """
 
 from __future__ import annotations
@@ -70,24 +70,12 @@ class InternalContractError(CoinWeighError, RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class ProblemSize:
-    """A validated problem size n = 2**l with l >= 1.
-
-    l must be of type ``int``: a ``bool`` equals 0 or 1 and a ``float`` may
-    equal an integer, but neither is a size.
-    """
-
-    l: int
-    n: int
-
-    @classmethod
-    def from_exponent(cls, l: int) -> "ProblemSize":
-        return cls(l=l, n=_coin_count(l))
-
-
 def _coin_count(l: int) -> int:
-    """n = 2**l, once l is checked to be an ``int`` >= 1 (see ``ProblemSize``)."""
+    """n = 2**l, once l is checked to be an ``int`` >= 1.
+
+    A ``bool`` equals 0 or 1 and a ``float`` may equal an integer, but
+    neither is an exponent.
+    """
     if type(l) is not int or l < 1:
         raise InvalidSizeError(f"exponent must be an integer >= 1, got {l!r}")
     return 1 << l
@@ -150,6 +138,8 @@ class Configuration:
     @classmethod
     def type_one(cls, n: int, pos: int) -> "Configuration":
         """The configuration with coin ``pos`` weighing 2."""
+        if type(n) is not int:
+            raise InvalidConfigurationError(f"coin count must be an integer, got {n!r}")
         if type(pos) is not int or not 1 <= pos <= n:
             raise InvalidConfigurationError(
                 f"position must be an integer in 1..{n}, got {pos!r}"
@@ -161,6 +151,8 @@ class Configuration:
     @classmethod
     def type_two(cls, n: int, i: int, j: int) -> "Configuration":
         """The configuration with coins ``i`` < ``j`` each weighing 1."""
+        if type(n) is not int:
+            raise InvalidConfigurationError(f"coin count must be an integer, got {n!r}")
         if type(i) is not int or type(j) is not int or not 1 <= i < j <= n:
             raise InvalidConfigurationError(f"need 1 <= i < j <= n, got {i!r}, {j!r}")
         w = [0] * n
@@ -207,17 +199,6 @@ class Configuration:
         return ",".join(parts)
 
 
-def delta_of(config: Configuration) -> int:
-    """Positional separation class of a configuration.
-
-    0 for a single coin of weight 2; |i - j| for two unit coins at i and j.
-    Always in [0, n-1], and exactly n - d configurations share each class
-    d >= 1 while all n type-I configurations share class 0.
-    """
-    p, q = config.positions
-    return q - p
-
-
 def validate_subset(subset: tuple[int, ...], n: int) -> None:
     """Check that ``subset`` is a strictly increasing tuple inside 1..n."""
     if not subset:
@@ -231,16 +212,6 @@ def validate_subset(subset: tuple[int, ...], n: int) -> None:
         prev = idx
     if subset[-1] > n:
         raise InvalidSubsetError(f"index {subset[-1]} out of range for n={n}")
-
-
-def parse_subset(text: str, n: int) -> tuple[int, ...]:
-    """Parse a comma-separated 1-based index list and validate it."""
-    try:
-        subset = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise InvalidSubsetError(f"malformed subset: {text!r}") from exc
-    validate_subset(subset, n)
-    return subset
 
 
 def weigh(config: Configuration, subset: tuple[int, ...]) -> int:

@@ -19,9 +19,9 @@ becomes a rational at the end.
 A CLI run opens one ``worker_pool`` around all of its sizes, and every
 ``exhaustive_stats`` call inside it sends its chunks to that one pool; a
 call outside any ``worker_pool`` opens a pool for itself.  ``cross_check``
-sends the chunks of both strategies before it waits on either, so the pool
-does not drain between them, and computes its analytic side while they
-run.  The pool never outlives the block that opened it.
+computes its analytic side first and then runs the strategies in turn, so
+a failed proposed run returns before any nested chunk is sent.  The pool
+never outlives the block that opened it.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
 from .model import (
     InternalContractError,
     InvalidSizeError,
-    ProblemSize,
+    _coin_count,
     config_count,
     iter_supports,
     oracle,
@@ -159,9 +159,6 @@ class _OpenPool:
     workers: int
     # None when one worker runs every chunk in process.
     executor: ProcessPoolExecutor | None
-    # Runs that cross_check sent ahead, keyed by (n, strategy), whose
-    # partial records exhaustive_stats has not read yet.
-    queued: dict[tuple[int, str], Iterator[_Partial]] = field(default_factory=dict)
 
 
 _open_pool: _OpenPool | None = None
@@ -268,10 +265,8 @@ def exhaustive_stats(
     its worker count; outside one, a pool is opened for this call.
 
     ``runtime_s`` is the wall time this call waited for its chunks, and
-    includes pool start-up only when the call opened its own pool.  In a
-    ``cross_check`` batch the nested chunks start while the proposed ones
-    still run, so the two rows' times add up to the time of the batch.  It
-    is reported, never part of any contract.
+    includes pool start-up only when the call opened its own pool.  It is
+    reported, never part of any contract.
     """
     if strategy not in _CORES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -280,8 +275,7 @@ def exhaustive_stats(
 
     start = time.perf_counter()
     with worker_pool(threads):
-        queued = _open_pool.queued.pop((n, strategy), None)
-        partials = list(_submit(n, strategy) if queued is None else queued)
+        partials = list(_submit(n, strategy))
     runtime = time.perf_counter() - start
 
     count = sum(part[0] for part in partials)
@@ -317,20 +311,16 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
     the divide-and-conquer recursion, and the direct log-form expression,
     and of both empirical maxima against 2l - 1.  Per-class rows are
     informational only: inside a class the analytic value and the empirical
-    conditional mean legitimately disagree.  The chunks of both strategies
-    go to one ``worker_pool`` (the open one, or one opened for this call)
-    as one batch, and every analytic value is computed while they run.
+    conditional mean legitimately disagree.  Every analytic value is
+    computed first; then the strategies run in turn, proposed and then
+    nested, on one ``worker_pool`` (the open one, or one opened for this
+    call), so a failed proposed run raises before any nested chunk is sent.
     Past the enumeration cap it raises ``TooLargeError`` before any worker
     starts.
     """
-    n = ProblemSize.from_exponent(l).n
+    n = _coin_count(l)
     require_enumerable(n)
     with worker_pool(threads):
-        # Both strategies' chunks go to the pool before either is awaited,
-        # so it does not drain between them, and the analytic side runs
-        # while the workers execute them.
-        for strategy in ("proposed", "nested"):
-            _open_pool.queued[(n, strategy)] = _submit(n, strategy)
         analytic_avg = analysis.t_ave_proposed(l)
         nested_closed = analysis.nested_closed_forms(l)[1]
         nested_log_form = Fraction((2 * n + 1) * l - 2 * (n - 1), n + 1)

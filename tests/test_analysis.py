@@ -390,9 +390,9 @@ class TestTAveProposed:
         with pytest.raises(ValueError):
             t_ave_proposed(3, mode="exactly")
 
-    @pytest.mark.parametrize("bad", [0, True, 3.0])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True, False, 2.0, 3.0, None])
     def test_rejects_bad_sizes(self, bad):
-        # The exponent rule of ``ProblemSize.from_exponent``, word for word.
+        # The exponent rule of ``model._coin_count``, word for word.
         with pytest.raises(InvalidSizeError, match="^exponent must be an integer >= 1"):
             t_ave_proposed(bad)
         with pytest.raises(InvalidSizeError, match="^exponent must be an integer >= 1"):

@@ -15,14 +15,12 @@ from coinweigh.model import (
     InvalidConfigurationError,
     InvalidSizeError,
     InvalidSubsetError,
-    ProblemSize,
     TooLargeError,
+    _coin_count,
     config_count,
-    delta_of,
     enumerate_configs,
     iter_supports,
     oracle,
-    parse_subset,
     validate_subset,
     weigh,
     weigh_runs,
@@ -34,13 +32,12 @@ sizes = st.integers(min_value=1, max_value=6).map(lambda l: 1 << l)
 
 class TestProblemSize:
     def test_from_exponent(self):
-        size = ProblemSize.from_exponent(3)
-        assert (size.l, size.n) == (3, 8)
+        assert _coin_count(3) == 8
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True, False, 2.0, None])
     def test_rejects_bad_exponents(self, bad):
-        with pytest.raises(InvalidSizeError):
-            ProblemSize.from_exponent(bad)
+        with pytest.raises(InvalidSizeError, match="^exponent must be an integer >= 1"):
+            _coin_count(bad)
 
 
 class TestConfiguration:
@@ -62,15 +59,20 @@ class TestConfiguration:
         with pytest.raises(InvalidConfigurationError):
             Configuration.type_two(4, 3, 2)
 
-    @pytest.mark.parametrize("bad", [True, 1.0, 2.0, None])
+    @pytest.mark.parametrize("bad", [True, 1.0, 2.0, 4.0, None])
     def test_positions_must_be_ints(self, bad):
-        # True equals 1 and 2.0 equals 2, but neither is a position.
+        # True equals 1 and 2.0 equals 2, but neither is a position, and
+        # 4.0 equals 4 but is no coin count.
         with pytest.raises(InvalidConfigurationError):
             Configuration.type_one(4, bad)
         with pytest.raises(InvalidConfigurationError):
             Configuration.type_two(4, bad, 3)
         with pytest.raises(InvalidConfigurationError):
             Configuration.type_two(4, 1, bad)
+        with pytest.raises(InvalidConfigurationError):
+            Configuration.type_one(bad, 1)
+        with pytest.raises(InvalidConfigurationError):
+            Configuration.type_two(bad, 1, 2)
 
     @pytest.mark.parametrize(
         "weights",
@@ -117,7 +119,6 @@ class TestConfiguration:
                         (k, weights[k - 1]) for k in nonzero
                     )
                     assert config.is_type_one == (len(nonzero) == 1)
-                    assert delta_of(config) == q - p
                 assert accepted == bounds_rule(weights), weights
 
     def test_text_round_trip(self):
@@ -153,20 +154,23 @@ class TestDelta:
         [((2, 0, 0, 0), 0), ((1, 0, 0, 1), 3), ((0, 1, 1, 0), 1)],
     )
     def test_examples(self, weights, expected):
-        assert delta_of(Configuration(weights)) == expected
+        p, q = Configuration(weights).positions
+        assert q - p == expected
 
     @given(st.data())
     def test_type_two_delta_is_position_distance(self, data):
         n = data.draw(sizes)
         i = data.draw(st.integers(1, n - 1))
         j = data.draw(st.integers(i + 1, n))
-        assert delta_of(Configuration.type_two(n, i, j)) == j - i
+        p, q = Configuration.type_two(n, i, j).positions
+        assert q - p == j - i
 
     @given(st.data())
     def test_type_one_delta_is_zero(self, data):
         n = data.draw(sizes)
         pos = data.draw(st.integers(1, n))
-        assert delta_of(Configuration.type_one(n, pos)) == 0
+        p, q = Configuration.type_one(n, pos).positions
+        assert q - p == 0
 
 
 class TestWeigh:
@@ -263,13 +267,6 @@ class TestWeigh:
         assert other_log == [(((1, 2),), 2)]
         assert log == list(zip(queries, outcomes))
 
-    def test_parse_subset(self):
-        assert parse_subset("1, 2,4", 4) == (1, 2, 4)
-        with pytest.raises(InvalidSubsetError):
-            parse_subset("1,junk", 4)
-        with pytest.raises(InvalidSubsetError):
-            parse_subset("2,9", 4)
-
 
 class TestEnumeration:
     def test_n2_order(self):
@@ -313,7 +310,8 @@ class TestEnumeration:
         assert len(list(enumerate_configs(4))) == 10
 
     def test_delta_three_count_at_n8(self):
-        assert sum(1 for c in enumerate_configs(8) if delta_of(c) == 3) == 5
+        deltas = [q - p for p, q in (c.positions for c in enumerate_configs(8))]
+        assert deltas.count(3) == 5
 
     @given(sizes)
     def test_census(self, n):
@@ -321,8 +319,8 @@ class TestEnumeration:
         assert len(configs) == config_count(n) == n * (n + 1) // 2
         by_delta = {}
         for config in configs:
-            d = delta_of(config)
-            by_delta[d] = by_delta.get(d, 0) + 1
+            p, q = config.positions
+            by_delta[q - p] = by_delta.get(q - p, 0) + 1
         assert by_delta[0] == n
         for d in range(1, n):
             assert by_delta[d] == n - d

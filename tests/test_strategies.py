@@ -16,7 +16,6 @@ from coinweigh import cli, strategies
 from coinweigh.model import (
     Configuration,
     InternalContractError,
-    delta_of,
     enumerate_configs,
     iter_supports,
     oracle,

@@ -177,13 +177,12 @@ class TestWorkerPool:
         assert [pool.max_workers for pool in recording_pool] == [3]
         assert rows_equal(row, exhaustive_stats(64, "proposed", threads=1))
 
-    def test_cross_check_sends_both_strategies_before_reading(
-        self, monkeypatch, recording_pool
-    ):
+    def test_cross_check_runs_strategies_in_turn(self, monkeypatch, recording_pool):
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         assert cross_check(4, threads=2).ok
         [pool] = recording_pool
-        assert pool.sent_when_read == [2, 2]
+        # The nested chunks are sent only once the proposed ones are read.
+        assert pool.sent_when_read == [1, 2]
         assert [
             {(strategy, lo, hi) for _, strategy, lo, hi in jobs}
             for jobs in pool.batches
@@ -191,6 +190,25 @@ class TestWorkerPool:
             {(strategy, 136 * k // 8, 136 * (k + 1) // 8) for k in range(8)}
             for strategy in ("proposed", "nested")
         ]
+
+    def test_cross_check_failure_sends_no_nested_chunk(
+        self, monkeypatch, recording_pool
+    ):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        worker = verify._worker
+
+        def failing(args):
+            _, strategy, lo, _ = args
+            if strategy == "proposed" and lo > 0:
+                raise InternalContractError("planted failure")
+            return worker(args)
+
+        monkeypatch.setattr(verify, "_worker", failing)
+        with pytest.raises(InternalContractError, match="^planted failure$"):
+            cross_check(4, threads=2)
+        [pool] = recording_pool
+        assert len(pool.batches) == 1
+        assert {strategy for _, strategy, _, _ in pool.batches[0]} == {"proposed"}
 
     def test_cross_check_computes_analytic_side_before_reading(
         self, monkeypatch, recording_pool
@@ -309,10 +327,9 @@ class TestCrossCheck:
         assert cross_check(3).max_proposed == 5
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidSizeError):
-            cross_check(0)
-        with pytest.raises(InvalidSizeError):
-            cross_check(True)
+        for bad in (0, -1, 1.5, "2", True, False, 2.0, None):
+            with pytest.raises(InvalidSizeError, match="^exponent must be an integer >= 1"):
+                cross_check(bad)
         with pytest.raises(TooLargeError):
             cross_check(13)
 
