@@ -16,6 +16,7 @@ from .model import (
     InvalidConfigurationError,
     InvalidSizeError,
     InvalidSubsetError,
+    Subset,
     TooLargeError,
     config_count,
     enumerate_configs,
@@ -60,6 +61,7 @@ __all__ = [
     "InvalidConfigurationError",
     "InvalidSizeError",
     "InvalidSubsetError",
+    "Subset",
     "TooLargeError",
     "config_count",
     "enumerate_configs",

@@ -17,7 +17,8 @@ of weight 2.  Regions are half-open runs ``[lo, hi)`` of consecutive
 positions, and ``weigh_runs`` weighs a union of runs against a support by
 comparing intervals.  ``oracle`` wraps it as the scale a strategy weighs
 on: a closure over the support that logs every weighing, so the strategy
-sees the readings and never the support.
+sees the readings and never the support.  ``weigh`` is the independent
+dense scale on a tuple of positions (see ``Subset``).
 
 Which coin counts can be enumerated is decided in one place,
 ``require_enumerable``: every n with 2 <= n <= 2**ENUMERATION_CAP_L.  Both
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # Exhaustive enumeration is supported up to n = 2**ENUMERATION_CAP_L; past
 # that only the analytic (closed form / recursion) path is meaningful.
@@ -108,7 +109,8 @@ class Configuration:
     no Python-level loop even at n = 4096.  The one or two coins found must
     be of type ``int`` (not ``bool`` or ``float``), while zero entries are
     compared by value only: a type check on every entry would cost a
-    Python-level pass over all n.
+    Python-level pass over all n.  ``type_one`` and ``type_two`` store the
+    support their checked arguments give, without that scan.
     """
 
     weights: tuple[int, ...]
@@ -144,9 +146,11 @@ class Configuration:
             raise InvalidConfigurationError(
                 f"position must be an integer in 1..{n}, got {pos!r}"
             )
+        if n < 2:
+            raise InvalidConfigurationError("need at least two coins")
         w = [0] * n
-        w[pos - 1] = 2
-        return cls(tuple(w))
+        w[pos - 1] = TOTAL_WEIGHT
+        return cls._located(tuple(w), pos, pos)
 
     @classmethod
     def type_two(cls, n: int, i: int, j: int) -> "Configuration":
@@ -158,7 +162,16 @@ class Configuration:
         w = [0] * n
         w[i - 1] = 1
         w[j - 1] = 1
-        return cls(tuple(w))
+        return cls._located(tuple(w), i, j)
+
+    @classmethod
+    def _located(cls, weights: tuple[int, ...], p: int, q: int) -> "Configuration":
+        # The weight vector of the support (p, q), both already checked by the
+        # caller, stored without the scan ``__post_init__`` makes.
+        config = object.__new__(cls)
+        object.__setattr__(config, "weights", weights)
+        object.__setattr__(config, "positions", (p, q))
+        return config
 
     @classmethod
     def from_text(cls, text: str) -> "Configuration":
@@ -199,17 +212,52 @@ class Configuration:
         return ",".join(parts)
 
 
-def validate_subset(subset: tuple[int, ...], n: int) -> None:
-    """Check that ``subset`` is a strictly increasing tuple inside 1..n."""
-    if not subset:
+def _check_increasing(indices: tuple[int, ...]) -> None:
+    # The structure of a subset: nonempty, exact ints, strictly increasing
+    # from 1 on.  One Python-level step per index.
+    if not indices:
         raise InvalidSubsetError("weighing subset must be nonempty")
     prev = 0
-    for idx in subset:
+    for idx in indices:
         if type(idx) is not int or idx <= prev:
             raise InvalidSubsetError(
-                f"subset indices must be strictly increasing positive ints: {subset!r}"
+                f"subset indices must be strictly increasing positive ints: {indices!r}"
             )
         prev = idx
+
+
+class Subset(tuple):
+    """A weighing subset whose structure was checked once, when it was made.
+
+    ``Subset(indices)`` checks that the indices are a nonempty, strictly
+    increasing sequence of exact ``int`` positions >= 1, and raises
+    ``InvalidSubsetError`` otherwise.  Every instance holds that invariant,
+    so ``weigh`` and ``validate_subset`` check only its last index against
+    n, in O(1).  Build one ``Subset`` for a subset weighed many times; a
+    plain tuple is checked again on every call.  Equality and hashing are
+    those of the tuple, and slicing or adding one gives a plain tuple.
+    ``tuple.__new__(Subset, ...)`` skips the check; only
+    ``strategies._transcript`` makes one that way, after proving the
+    invariant from the runs of its query.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, indices: Iterable[int]) -> "Subset":
+        subset = tuple.__new__(cls, indices)
+        _check_increasing(subset)
+        return subset
+
+
+def validate_subset(subset: tuple[int, ...], n: int) -> None:
+    """Check that ``subset`` is a strictly increasing tuple inside 1..n.
+
+    Any sequence is checked index by index, in O(len).  A ``Subset`` (of
+    that exact type) was checked when it was made, so only its last index
+    is compared with n.
+    """
+    if type(subset) is not Subset:
+        _check_increasing(subset)
     if subset[-1] > n:
         raise InvalidSubsetError(f"index {subset[-1]} out of range for n={n}")
 
@@ -218,9 +266,10 @@ def weigh(config: Configuration, subset: tuple[int, ...]) -> int:
     """Spring-scale oracle: the exact total weight of ``subset``.
 
     The subset must be a strictly increasing tuple of 1-based positions.
-    Once ``validate_subset`` has checked that, p and q of the support are
-    each found by binary search in the sorted subset and count 1 each, so a
-    coin of weight 2 (p == q) counts twice, as in ``weigh_runs``.
+    Once ``validate_subset`` has checked that (in O(1) for a ``Subset``),
+    p and q of the support are each found by binary search in the sorted
+    subset and count 1 each, so a coin of weight 2 (p == q) counts twice,
+    as in ``weigh_runs``, which this dense route is kept independent of.
     """
     validate_subset(subset, config.n)
     total = 0

@@ -33,10 +33,11 @@ through it, and returns the recovered support.  It never sees the hidden
 support and never records a query: ``ask`` logs each (runs, outcome) pair
 as the scale answers it.  The exhaustive verifier calls the cores directly;
 ``run_proposed`` and ``run_nested`` turn the log and the support into a
-``Transcript`` of subset tuples and a dense estimate.
+``Transcript`` of subsets and a dense estimate.
 Each subset is a slice of one shared tuple of positions (two slices joined
 for a query of two runs), so building a transcript copies pointers and
-allocates no int objects.
+allocates no int objects.  It is a ``model.Subset``, proved from the runs
+of its query (see ``_transcript``).
 
 ``check_nested`` decides whether a finished transcript obeys the nested
 discipline (each query refines a single currently-open region).  The proposed
@@ -53,6 +54,7 @@ from .model import (
     InternalContractError,
     Runs,
     Scale,
+    Subset,
     oracle,
     weigh_runs,
 )
@@ -65,13 +67,13 @@ class Transcript:
     """One strategy execution: the queries asked and the recovered weights.
 
     ``queries`` holds (subset, outcome) pairs in the order asked, subsets as
-    strictly increasing 1-based tuples.  Each outcome is the oracle's own
-    reading, logged by the oracle as it answered.  ``estimate`` is the full
+    ``model.Subset`` tuples.  Each outcome is the oracle's own reading,
+    logged by the oracle as it answered.  ``estimate`` is the full
     recovered weight vector; for a correct executor it equals the true
     configuration and sums to 2.
     """
 
-    queries: tuple[tuple[tuple[int, ...], int], ...]
+    queries: tuple[tuple[Subset, int], ...]
     estimate: tuple[int, ...]
 
     @property
@@ -234,18 +236,30 @@ _POSITIONS: tuple[int, ...] = ()
 def _transcript(
     n: int, queries: list[tuple[Runs, int]], support: tuple[int, int]
 ) -> Transcript:
-    # The public form: each query's runs as one ascending subset tuple, and
-    # the dense estimate (a coin of weight 2 is both ends of its support).
+    # The public form: each query's runs as one ascending ``Subset``, and the
+    # dense estimate (a coin of weight 2 is both ends of its support).  Runs
+    # that are nonempty, ascending and disjoint within [1, n + 1) slice
+    # _POSITIONS (where _POSITIONS[k] == k) into exactly what ``Subset()``
+    # checks for, so that check is proved here in O(runs), not rerun.
     global _POSITIONS
     positions = _POSITIONS
     if len(positions) <= n:
         positions = _POSITIONS = tuple(range(n + 1))
+    wrap = tuple.__new__
     subsets = []
     for runs, outcome in queries:
         subset: tuple[int, ...] = ()
+        prev = 1
         for lo, hi in runs:
+            if not prev <= lo < hi:
+                raise InternalContractError(
+                    f"runs {runs!r} are not nonempty, ascending and disjoint from 1 on"
+                )
             subset += positions[lo:hi]
-        subsets.append((subset, outcome))
+            prev = hi
+        if not 1 < prev <= n + 1:
+            raise InternalContractError(f"runs {runs!r} are empty or pass coin {n}")
+        subsets.append((wrap(Subset, subset), outcome))
     est = [0] * n
     est[support[0] - 1] += 1
     est[support[1] - 1] += 1

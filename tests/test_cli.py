@@ -478,6 +478,24 @@ class TestPinnedOutput:
         assert sha256(out.encode("utf-8")) == stdout_digest
 
     @pytest.mark.parametrize(
+        "strategy, stdout_digest",
+        [
+            ("proposed", "b787559bb6c19083a4013f5390377d248189247b8253591ccfe8e1a6f162f54a"),
+            ("nested", "ad41cc6ddaf12954034e0a35ad379e53e11ad2e84eaef28e90199fbec0f715a2"),
+        ],
+    )
+    def test_trace_json_at_cap(self, capsys, strategy, stdout_digest):
+        # Coins 1000 and 3001 of 4096 weigh 1: queries of up to n/2 coins,
+        # and for the halving scheme joint rounds of two runs each.
+        weights = ["0"] * 4096
+        weights[1000 - 1] = weights[3001 - 1] = "1"
+        code, out, err = run(
+            capsys, "trace", "--weights", ",".join(weights), "--strategy", strategy, "--json"
+        )
+        assert (code, err) == (0, "")
+        assert sha256(out.encode("utf-8")) == stdout_digest
+
+    @pytest.mark.parametrize(
         "argv, stdout_digest, csv_digest",
         [
             (

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from coinweigh.model import (
     InvalidConfigurationError,
     InvalidSizeError,
     InvalidSubsetError,
+    Subset,
     TooLargeError,
     _coin_count,
     config_count,
@@ -58,6 +61,40 @@ class TestConfiguration:
             Configuration.type_two(4, 3, 3)
         with pytest.raises(InvalidConfigurationError):
             Configuration.type_two(4, 3, 2)
+
+    def test_type_one_needs_two_coins(self):
+        with pytest.raises(InvalidConfigurationError, match="at least two coins"):
+            Configuration.type_one(1, 1)
+
+    @staticmethod
+    def assert_same_as_scanned(config: Configuration) -> None:
+        # type_one/type_two store the support their arguments give; the
+        # constructor finds it by scanning the weights.  Both must agree.
+        scanned = Configuration(config.weights)
+        assert type(config.weights) is tuple
+        assert set(map(type, config.weights)) == {int}
+        assert config.weights == scanned.weights
+        assert config.positions == scanned.positions
+        assert config == scanned
+        assert hash(config) == hash(scanned)
+        assert config.as_text() == scanned.as_text()
+
+    def test_direct_constructors_match_scan(self):
+        for n in range(2, 65):
+            for p, q in iter_supports(n):
+                if p == q:
+                    self.assert_same_as_scanned(Configuration.type_one(n, p))
+                else:
+                    self.assert_same_as_scanned(Configuration.type_two(n, p, q))
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (4096, 4096), (1000, 1000), (1, 2),
+                                      (1, 4096), (4095, 4096), (1000, 3001)])
+    def test_direct_constructors_match_scan_at_cap(self, p, q):
+        n = 1 << ENUMERATION_CAP_L
+        if p == q:
+            self.assert_same_as_scanned(Configuration.type_one(n, p))
+        else:
+            self.assert_same_as_scanned(Configuration.type_two(n, p, q))
 
     @pytest.mark.parametrize("bad", [True, 1.0, 2.0, 4.0, None])
     def test_positions_must_be_ints(self, bad):
@@ -184,6 +221,7 @@ class TestWeigh:
     )
     def test_examples(self, weights, subset, expected):
         assert weigh(Configuration(weights), subset) == expected
+        assert weigh(Configuration(weights), Subset(subset)) == expected
 
     @pytest.mark.parametrize(
         "config, subset, expected",
@@ -216,9 +254,9 @@ class TestWeigh:
         subset = tuple(
             sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
         )
-        assert weigh(config, subset) == sum(
-            config.weights[pos - 1] for pos in subset
-        )
+        expected = sum(config.weights[pos - 1] for pos in subset)
+        assert weigh(config, subset) == expected
+        assert weigh(config, Subset(subset)) == expected
 
     @given(st.data())
     def test_full_set_weighs_two(self, data):
@@ -230,8 +268,59 @@ class TestWeigh:
         "subset", [(), (0,), (3, 2), (1, 1), (5,), (1, "2"), (True, 2)]
     )
     def test_rejects_bad_subsets(self, subset):
+        # As a plain tuple, to validate_subset and to weigh, and as a Subset,
+        # which is rejected when made or, for (5,), when weighed at n = 4.
+        config = Configuration.type_one(4, 1)
         with pytest.raises(InvalidSubsetError):
             validate_subset(subset, 4)
+        with pytest.raises(InvalidSubsetError):
+            weigh(config, subset)
+        with pytest.raises(InvalidSubsetError):
+            weigh(config, Subset(subset))
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-1, 9), st.booleans(), st.floats(0, 9)), max_size=6
+        )
+    )
+    def test_subset_accepts_what_validate_subset_accepts(self, indices):
+        # No index exceeds 9, so only the structure decides.
+        def accepted(check) -> bool:
+            try:
+                check()
+            except InvalidSubsetError:
+                return False
+            return True
+
+        plain = tuple(indices)
+        assert accepted(lambda: Subset(plain)) == accepted(
+            lambda: validate_subset(plain, 9)
+        )
+
+    def test_subset_past_n_is_rejected(self):
+        # A Subset is checked once for structure, but its range against n on
+        # every weighing.
+        with pytest.raises(InvalidSubsetError, match="out of range for n=4"):
+            weigh(Configuration.type_one(4, 1), Subset((5,)))
+        with pytest.raises(InvalidSubsetError, match="out of range for n=4"):
+            validate_subset(Subset((1, 5)), 4)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [
+            copy.copy,
+            copy.deepcopy,
+            *(
+                lambda s, proto=proto: pickle.loads(pickle.dumps(s, proto))
+                for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+            ),
+        ],
+    )
+    def test_subset_round_trip(self, round_trip):
+        subset = Subset((1, 3, 4))
+        again = round_trip(subset)
+        assert type(again) is Subset
+        assert again == subset == (1, 3, 4)
 
     @given(st.data())
     def test_runs_oracle_matches_weigh(self, data):

@@ -16,6 +16,7 @@ from coinweigh import cli, strategies
 from coinweigh.model import (
     Configuration,
     InternalContractError,
+    Subset,
     enumerate_configs,
     iter_supports,
     oracle,
@@ -45,12 +46,14 @@ def all_configs(n: int):
 
 
 def assert_transcript_valid(config: Configuration, transcript: Transcript):
-    """The universal transcript contract, re-checked from scratch."""
+    """The universal transcript contract, re-checked from scratch.  Each
+    subset is weighed as a plain tuple, so ``weigh`` checks it index by
+    index rather than trusting the ``Subset`` that ``_transcript`` made."""
     assert transcript.estimate == config.weights
     assert sum(transcript.estimate) == 2
     assert transcript.weighings >= 1
     for subset, outcome in transcript.queries:
-        assert weigh(config, subset) == outcome
+        assert weigh(config, tuple(subset)) == outcome
 
 
 class TestProposed:
@@ -235,15 +238,16 @@ class TestBudget:
 
 
 def assert_subsets_sliced(transcript: Transcript, queries, n: int):
-    """Each subset is a plain tuple of ints that validates and equals the
-    concatenation of ``tuple(range(lo, hi))`` over the core's runs."""
+    """Each subset is a ``Subset`` of ints whose copy as a plain tuple
+    validates index by index, and it equals the concatenation of
+    ``tuple(range(lo, hi))`` over the core's runs."""
     assert len(transcript.queries) == len(queries)
     for (subset, outcome), (runs, core_outcome) in zip(
         transcript.queries, queries
     ):
-        assert type(subset) is tuple
+        assert type(subset) is Subset
         assert set(map(type, subset)) == {int}
-        validate_subset(subset, n)
+        validate_subset(tuple(subset), n)
         reference: tuple[int, ...] = ()
         for lo, hi in runs:
             reference += tuple(range(lo, hi))
@@ -285,6 +289,25 @@ class TestTranscriptSubsets:
             assert_subsets_sliced(transcript, queries, n)
             # Grown for n = 5000, then reused, not shrunk, for n = 8.
             assert len(strategies._POSITIONS) == 5001
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            ((1, 3), (2, 4)),
+            ((3, 4), (1, 2)),
+            ((2, 2),),
+            ((0, 2),),
+            ((1, 6),),
+            (),
+        ],
+        ids=["overlapping", "descending", "empty-run", "from-0", "past-n", "no-run"],
+    )
+    def test_rejects_runs_that_break_the_subset_contract(self, monkeypatch, runs):
+        # Positions past n + 1 are present, so an unchecked run past n would
+        # slice coins that do not exist instead of being cut short.
+        monkeypatch.setattr(strategies, "_POSITIONS", tuple(range(64)))
+        with pytest.raises(InternalContractError):
+            strategies._transcript(4, [(((1, 2),), 1), (runs, 0)], (1, 2))
 
 
 # The recursive cores the loop cores replaced, with their ``_union``, kept as
