@@ -20,6 +20,11 @@ on: a closure over the support that logs every weighing, so the strategy
 sees the readings and never the support.  ``weigh`` is the independent
 dense scale on a tuple of positions (see ``Subset``).
 
+Each representation has one writer: ``_dense`` builds the weight vector of
+a support, for every ``Configuration`` and transcript estimate, and
+``_logged_subsets`` turns an oracle log into a transcript's subsets, each a
+slice of one shared tuple of positions, proved a ``Subset`` in O(runs).
+
 Which coin counts can be enumerated is decided in one place,
 ``require_enumerable``: every n with 2 <= n <= 2**ENUMERATION_CAP_L.  Both
 strategies run at every such n.  The analytic rows are indexed by l, with
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 # Exhaustive enumeration is supported up to n = 2**ENUMERATION_CAP_L; past
 # that only the analytic (closed form / recursion) path is meaningful.
@@ -97,6 +102,14 @@ def require_enumerable(n: int) -> None:
         )
 
 
+def _dense(n: int, p: int, q: int) -> tuple[int, ...]:
+    # The weights of n coins with the checked support (p, q); coin p == q weighs 2.
+    w = [0] * n
+    w[p - 1] += 1
+    w[q - 1] += 1
+    return tuple(w)
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A dense weight vector over coins 1..n with total weight 2.
@@ -104,13 +117,15 @@ class Configuration:
     ``weights[k]`` is the weight of coin k+1.  ``positions`` stores the
     support (the 1-based positions of the nonzero weights) as the pair
     (p, q) that the executors work on, with p == q for a coin of weight 2.
-    Construction is two ``tuple.count`` passes that pin the shape, then
-    ``tuple.index`` calls that stop at the coins; all of it runs in C, with
-    no Python-level loop even at n = 4096.  The one or two coins found must
-    be of type ``int`` (not ``bool`` or ``float``), while zero entries are
-    compared by value only: a type check on every entry would cost a
-    Python-level pass over all n.  ``type_one`` and ``type_two`` store the
-    support their checked arguments give, without that scan.
+    ``Configuration(weights)`` takes a tuple or a list.  Construction is two
+    ``tuple.count`` passes that pin the shape, then ``tuple.index`` calls
+    that stop at the coins; all of it runs in C, with no Python-level loop
+    even at n = 4096.  The one or two coins found must be of type ``int``
+    (not ``bool`` or ``float``), while zero entries are compared by value
+    only: a type check on every entry would cost a Python-level pass over
+    all n.  ``type_one`` and ``type_two`` take the support their checked
+    arguments give, without that scan.  Every constructor stores the
+    ``_dense`` tuple of the support as ``weights``.
     """
 
     weights: tuple[int, ...]
@@ -118,6 +133,8 @@ class Configuration:
 
     def __post_init__(self) -> None:
         w = self.weights
+        if not isinstance(w, (tuple, list)):
+            raise InvalidConfigurationError(f"weights must be a tuple or a list: {w!r}")
         if len(w) < 2:
             raise InvalidConfigurationError("need at least two coins")
         # The only legal shapes are one 2 among zeros or two 1s among zeros.
@@ -135,6 +152,7 @@ class Configuration:
             )
         if type(w[p - 1]) is not int or type(w[q - 1]) is not int:
             raise InvalidConfigurationError(f"coin weights must be ints: {w!r}")
+        object.__setattr__(self, "weights", _dense(len(w), p, q))
         object.__setattr__(self, "positions", (p, q))
 
     @classmethod
@@ -148,9 +166,7 @@ class Configuration:
             )
         if n < 2:
             raise InvalidConfigurationError("need at least two coins")
-        w = [0] * n
-        w[pos - 1] = TOTAL_WEIGHT
-        return cls._located(tuple(w), pos, pos)
+        return cls._located(n, pos, pos)
 
     @classmethod
     def type_two(cls, n: int, i: int, j: int) -> "Configuration":
@@ -159,17 +175,14 @@ class Configuration:
             raise InvalidConfigurationError(f"coin count must be an integer, got {n!r}")
         if type(i) is not int or type(j) is not int or not 1 <= i < j <= n:
             raise InvalidConfigurationError(f"need 1 <= i < j <= n, got {i!r}, {j!r}")
-        w = [0] * n
-        w[i - 1] = 1
-        w[j - 1] = 1
-        return cls._located(tuple(w), i, j)
+        return cls._located(n, i, j)
 
     @classmethod
-    def _located(cls, weights: tuple[int, ...], p: int, q: int) -> "Configuration":
-        # The weight vector of the support (p, q), both already checked by the
-        # caller, stored without the scan ``__post_init__`` makes.
+    def _located(cls, n: int, p: int, q: int) -> "Configuration":
+        # The checked support (p, q) of n coins and its ``_dense`` weights,
+        # stored without the scan ``__post_init__`` makes.
         config = object.__new__(cls)
-        object.__setattr__(config, "weights", weights)
+        object.__setattr__(config, "weights", _dense(n, p, q))
         object.__setattr__(config, "positions", (p, q))
         return config
 
@@ -200,8 +213,8 @@ class Configuration:
     def as_text(self) -> str:
         """The weight list as ``from_text`` reads it, e.g. ``0,0,1,0,0,1``.
 
-        Rendered from the located support, whose coins are checked ints, so
-        zero entries given as ``False`` or ``0.0`` are written as ``0``.
+        Rendered from the located support rather than by joining the
+        ``_dense`` weights, which takes about ten times as long at n = 4096.
         """
         p, q = self.positions
         parts = ["0"] * len(self.weights)
@@ -236,27 +249,66 @@ class Subset(tuple):
     n, in O(1).  Build one ``Subset`` for a subset weighed many times; a
     plain tuple is checked again on every call.  Equality and hashing are
     those of the tuple, and slicing or adding one gives a plain tuple.
-    ``tuple.__new__(Subset, ...)`` skips the check; only
-    ``strategies._transcript`` makes one that way, after proving the
-    invariant from the runs of its query.
+    ``tuple.__new__(Subset, ...)`` skips the check; only ``_logged_subsets``
+    makes one that way, after proving the invariant from the runs of its
+    query.
     """
 
     __slots__ = ()
 
     def __new__(cls, indices: Iterable[int]) -> "Subset":
+        if not isinstance(indices, Iterable):
+            raise InvalidSubsetError(f"weighing subset must be iterable: {indices!r}")
         subset = tuple.__new__(cls, indices)
         _check_increasing(subset)
         return subset
 
 
+# _POSITIONS[k] == k for k = 0..n, for the largest n seen so far.  A larger n
+# replaces it with a longer tuple of the same form, so callers holding
+# different versions slice the same values.
+_POSITIONS: tuple[int, ...] = ()
+
+
+def _logged_subsets(
+    n: int, log: list[tuple[Runs, int]]
+) -> tuple[tuple[Subset, int], ...]:
+    # Each logged query of n coins as (Subset, outcome).  Runs that are
+    # nonempty, ascending and disjoint within [1, n + 1) slice _POSITIONS
+    # (where _POSITIONS[k] == k) into exactly what ``Subset()`` checks for,
+    # so that check is proved here in O(runs), not rerun.
+    global _POSITIONS
+    positions = _POSITIONS
+    if len(positions) <= n:
+        positions = _POSITIONS = tuple(range(n + 1))
+    wrap = tuple.__new__
+    subsets = []
+    for runs, outcome in log:
+        subset: tuple[int, ...] = ()
+        prev = 1
+        for lo, hi in runs:
+            if not prev <= lo < hi:
+                raise InternalContractError(
+                    f"runs {runs!r} are not nonempty, ascending and disjoint from 1 on"
+                )
+            subset += positions[lo:hi]
+            prev = hi
+        if not 1 < prev <= n + 1:
+            raise InternalContractError(f"runs {runs!r} are empty or pass coin {n}")
+        subsets.append((wrap(Subset, subset), outcome))
+    return tuple(subsets)
+
+
 def validate_subset(subset: tuple[int, ...], n: int) -> None:
     """Check that ``subset`` is a strictly increasing tuple inside 1..n.
 
-    Any sequence is checked index by index, in O(len).  A ``Subset`` (of
-    that exact type) was checked when it was made, so only its last index
-    is compared with n.
+    Any other sequence is checked index by index, in O(len), and anything
+    that is not a sequence is rejected.  A ``Subset`` (of that exact type)
+    was checked when it was made, so only its last index is compared with n.
     """
     if type(subset) is not Subset:
+        if not isinstance(subset, Sequence):
+            raise InvalidSubsetError(f"weighing subset must be a sequence: {subset!r}")
         _check_increasing(subset)
     if subset[-1] > n:
         raise InvalidSubsetError(f"index {subset[-1]} out of range for n={n}")

@@ -33,11 +33,8 @@ through it, and returns the recovered support.  It never sees the hidden
 support and never records a query: ``ask`` logs each (runs, outcome) pair
 as the scale answers it.  The exhaustive verifier calls the cores directly;
 ``run_proposed`` and ``run_nested`` turn the log and the support into a
-``Transcript`` of subsets and a dense estimate.
-Each subset is a slice of one shared tuple of positions (two slices joined
-for a query of two runs), so building a transcript copies pointers and
-allocates no int objects.  It is a ``model.Subset``, proved from the runs
-of its query (see ``_transcript``).
+``Transcript`` of ``model.Subset`` queries and a dense estimate, both built
+by ``model`` (see its docstring).
 
 ``check_nested`` decides whether a finished transcript obeys the nested
 discipline (each query refines a single currently-open region).  The proposed
@@ -55,6 +52,8 @@ from .model import (
     Runs,
     Scale,
     Subset,
+    _dense,
+    _logged_subsets,
     oracle,
     weigh_runs,
 )
@@ -227,43 +226,10 @@ def _nested_core(n: int, ask: Scale) -> tuple[int, int]:
     return lo, lo
 
 
-# _POSITIONS[k] == k for k = 0..n, for the largest n seen so far.  A larger n
-# replaces it with a longer tuple of the same form, so callers holding
-# different versions slice the same values.
-_POSITIONS: tuple[int, ...] = ()
-
-
 def _transcript(
-    n: int, queries: list[tuple[Runs, int]], support: tuple[int, int]
+    n: int, log: list[tuple[Runs, int]], support: tuple[int, int]
 ) -> Transcript:
-    # The public form: each query's runs as one ascending ``Subset``, and the
-    # dense estimate (a coin of weight 2 is both ends of its support).  Runs
-    # that are nonempty, ascending and disjoint within [1, n + 1) slice
-    # _POSITIONS (where _POSITIONS[k] == k) into exactly what ``Subset()``
-    # checks for, so that check is proved here in O(runs), not rerun.
-    global _POSITIONS
-    positions = _POSITIONS
-    if len(positions) <= n:
-        positions = _POSITIONS = tuple(range(n + 1))
-    wrap = tuple.__new__
-    subsets = []
-    for runs, outcome in queries:
-        subset: tuple[int, ...] = ()
-        prev = 1
-        for lo, hi in runs:
-            if not prev <= lo < hi:
-                raise InternalContractError(
-                    f"runs {runs!r} are not nonempty, ascending and disjoint from 1 on"
-                )
-            subset += positions[lo:hi]
-            prev = hi
-        if not 1 < prev <= n + 1:
-            raise InternalContractError(f"runs {runs!r} are empty or pass coin {n}")
-        subsets.append((wrap(Subset, subset), outcome))
-    est = [0] * n
-    est[support[0] - 1] += 1
-    est[support[1] - 1] += 1
-    return Transcript(tuple(subsets), tuple(est))
+    return Transcript(_logged_subsets(n, log), _dense(n, *support))
 
 
 def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:

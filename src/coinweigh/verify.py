@@ -152,16 +152,8 @@ def _resolve_threads(threads: int | None) -> int:
 _Partial = tuple[int, int, int, dict[int, list[int]]]
 
 
-@dataclass
-class _OpenPool:
-    """The state of an open ``worker_pool``."""
-
-    workers: int
-    # None when one worker runs every chunk in process.
-    executor: ProcessPoolExecutor | None
-
-
-_open_pool: _OpenPool | None = None
+# The open ``worker_pool``: (workers, executor), no executor for one worker.
+_open_pool: tuple[int, ProcessPoolExecutor | None] | None = None
 
 
 @contextmanager
@@ -182,7 +174,7 @@ def worker_pool(threads: int | None = None) -> Iterator[None]:
         yield
         return
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    _open_pool = _OpenPool(workers, executor)
+    _open_pool = workers, executor
     finished = False
     try:
         yield
@@ -231,23 +223,6 @@ def _worker(args: tuple[int, str, int, int]):
     return _run_range(*args)
 
 
-def _submit(n: int, strategy: str) -> Iterator[_Partial]:
-    """Send the chunk jobs of every configuration of n coins to the open
-    pool; their partial records arrive, in order, as the result is read.
-
-    This is the one route for chunk jobs.  With one worker the single job
-    runs in process, when the result is read.
-    """
-    workers, executor = _open_pool.workers, _open_pool.executor
-    total_configs = config_count(n)
-    chunk_count = 1 if executor is None else min(workers * 4, total_configs)
-    bounds = [total_configs * part // chunk_count for part in range(chunk_count + 1)]
-    jobs = [
-        (n, strategy, bounds[part], bounds[part + 1]) for part in range(chunk_count)
-    ]
-    return (map if executor is None else executor.map)(_worker, jobs)
-
-
 def exhaustive_stats(
     n: int, strategy: str, *, threads: int | None = None
 ) -> StatsRow:
@@ -275,7 +250,12 @@ def exhaustive_stats(
 
     start = time.perf_counter()
     with worker_pool(threads):
-        partials = list(_submit(n, strategy))
+        workers, executor = _open_pool
+        configs = config_count(n)
+        chunks = 1 if executor is None else min(workers * 4, configs)
+        bounds = [configs * part // chunks for part in range(chunks + 1)]
+        jobs = [(n, strategy, bounds[part], bounds[part + 1]) for part in range(chunks)]
+        partials = list((map if executor is None else executor.map)(_worker, jobs))
     runtime = time.perf_counter() - start
 
     count = sum(part[0] for part in partials)

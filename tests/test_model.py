@@ -128,11 +128,39 @@ class TestConfiguration:
             (1.0, 1.0),
             (2.0, 0),
             (1, True),
+            # Not a tuple or a list, though bytes count and index like one.
+            None,
+            5,
+            "0,2",
+            {1: 0, 2: 2},
+            iter((0, 2)),
+            b"\x00\x02",
         ],
     )
     def test_rejects_illegal_weights(self, weights):
         with pytest.raises(InvalidConfigurationError):
             Configuration(weights)
+
+    def test_weights_are_one_canonical_tuple(self):
+        # However a configuration is made, it stores the same tuple of exact
+        # ints, so equal configurations hash alike.
+        given = [2, 0, 0]
+        configs = [
+            Configuration(given),
+            Configuration(tuple(given)),
+            Configuration((2, False, 0.0)),
+            Configuration.type_one(3, 1),
+        ]
+        for config in configs:
+            assert type(config.weights) is tuple
+            assert [type(w) for w in config.weights] == [int, int, int]
+            assert config.weights == (2, 0, 0)
+            assert config == configs[0]
+            assert hash(config) == hash(configs[0])
+        # The caller's list is not kept, so changing it changes nothing.
+        given[:] = [0, 0, 2]
+        assert configs[0].weights == (2, 0, 0)
+        assert configs[0].positions == (1, 1)
 
     def test_count_check_matches_bounds_rule(self):
         # Reference: the bounds-and-total rule, exact on integer entries.
@@ -265,11 +293,11 @@ class TestWeigh:
         assert weigh(config, tuple(range(1, n + 1))) == 2
 
     @pytest.mark.parametrize(
-        "subset", [(), (0,), (3, 2), (1, 1), (5,), (1, "2"), (True, 2)]
+        "subset", [(), (0,), (3, 2), (1, 1), (5,), (1, "2"), (True, 2), 5, None]
     )
     def test_rejects_bad_subsets(self, subset):
-        # As a plain tuple, to validate_subset and to weigh, and as a Subset,
-        # which is rejected when made or, for (5,), when weighed at n = 4.
+        # As given, to validate_subset and to weigh, and as a Subset, which
+        # is rejected when made or, for (5,), when weighed at n = 4.
         config = Configuration.type_one(4, 1)
         with pytest.raises(InvalidSubsetError):
             validate_subset(subset, 4)
@@ -277,6 +305,26 @@ class TestWeigh:
             weigh(config, subset)
         with pytest.raises(InvalidSubsetError):
             weigh(config, Subset(subset))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: {1, 2},
+            lambda: frozenset((1, 2)),
+            lambda: iter((1, 2)),
+            lambda: (k for k in (1, 2)),
+        ],
+        ids=["set", "frozenset", "iterator", "generator"],
+    )
+    def test_rejects_iterables_that_are_not_sequences(self, make):
+        # validate_subset and weigh index a subset, so they take sequences
+        # only; Subset() takes any iterable and keeps its order.
+        config = Configuration.type_one(4, 1)
+        with pytest.raises(InvalidSubsetError, match="must be a sequence"):
+            validate_subset(make(), 4)
+        with pytest.raises(InvalidSubsetError, match="must be a sequence"):
+            weigh(config, make())
+        assert weigh(config, Subset(make())) == 2
 
     @given(
         st.lists(

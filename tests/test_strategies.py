@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coinweigh import cli, strategies
+from coinweigh import cli, model, strategies
 from coinweigh.model import (
     Configuration,
     InternalContractError,
@@ -48,7 +48,7 @@ def all_configs(n: int):
 def assert_transcript_valid(config: Configuration, transcript: Transcript):
     """The universal transcript contract, re-checked from scratch.  Each
     subset is weighed as a plain tuple, so ``weigh`` checks it index by
-    index rather than trusting the ``Subset`` that ``_transcript`` made."""
+    index rather than trusting the ``Subset`` that ``model`` made."""
     assert transcript.estimate == config.weights
     assert sum(transcript.estimate) == 2
     assert transcript.weighings >= 1
@@ -67,6 +67,14 @@ class TestProposed:
         transcript = run_proposed(Configuration((2, 0)))
         assert transcript.queries == (((1,), 2),)
         assert transcript.estimate == (2, 0)
+
+    @pytest.mark.parametrize("runner", [run_proposed, run_nested])
+    def test_estimate_is_the_weights_of_any_config(self, runner):
+        # A configuration built from a list or from non-int zeros stores the
+        # same dense tuple that the estimate is, so the two compare equal.
+        for weights in ([0, 1, 0, 1], (2, False, 0.0)):
+            config = Configuration(weights)
+            assert runner(config).estimate == config.weights
 
     def test_adjacent_pair_trace(self):
         transcript = run_proposed(Configuration((0, 1, 1, 0)))
@@ -280,7 +288,7 @@ class TestTranscriptSubsets:
             assert_subsets_sliced(runner(config), queries, n)
 
     def test_positions_grow_and_are_reused(self, monkeypatch):
-        monkeypatch.setattr(strategies, "_POSITIONS", ())
+        monkeypatch.setattr(model, "_POSITIONS", ())
         for n in (5000, 8):
             config = Configuration.type_two(n, 3, n)
             transcript = run_nested(config)
@@ -288,7 +296,7 @@ class TestTranscriptSubsets:
             queries, _ = logged(strategies._nested_core, n, 3, n)
             assert_subsets_sliced(transcript, queries, n)
             # Grown for n = 5000, then reused, not shrunk, for n = 8.
-            assert len(strategies._POSITIONS) == 5001
+            assert len(model._POSITIONS) == 5001
 
     @pytest.mark.parametrize(
         "runs",
@@ -305,9 +313,9 @@ class TestTranscriptSubsets:
     def test_rejects_runs_that_break_the_subset_contract(self, monkeypatch, runs):
         # Positions past n + 1 are present, so an unchecked run past n would
         # slice coins that do not exist instead of being cut short.
-        monkeypatch.setattr(strategies, "_POSITIONS", tuple(range(64)))
+        monkeypatch.setattr(model, "_POSITIONS", tuple(range(64)))
         with pytest.raises(InternalContractError):
-            strategies._transcript(4, [(((1, 2),), 1), (runs, 0)], (1, 2))
+            model._logged_subsets(4, [(((1, 2),), 1), (runs, 0)])
 
 
 # The recursive cores the loop cores replaced, with their ``_union``, kept as
