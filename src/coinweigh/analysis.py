@@ -238,9 +238,12 @@ def t_given_delta(l: int, delta: int, table: TTable | None = None) -> Fraction:
 
     which is linear in d_n between the cutoffs d_n = 2**k.  ``table`` is
     used when its size is l; a table of any other size, or none, is
-    replaced by ``t_table(l)``.
+    replaced by ``t_table(l)``, and anything that is not a ``TTable`` is
+    rejected.
     """
     dn, h, j, rest = _cutoff(l, delta)
+    if table is not None and not isinstance(table, TTable):
+        raise InvalidSizeError(f"table must be a TTable or None, got {table!r}")
     if table is None or table.l != l:
         table = t_table(l)
     costs, prefix = table.depth_rows

@@ -118,6 +118,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 _PER_DELTA_SHOWN = 6
 
+# The fields of a ``verify.CrossCheckReport`` that ``verify`` renders, besides
+# its per-δ rows; ``--json`` prints them all.
+_REPORT_FIELDS = (
+    "l", "n", "ok", "analytic_avg", "empirical_avg", "nested_closed",
+    "nested_empirical", "predicted_max", "max_proposed", "max_nested", "mismatches",
+)
+
 
 def cmd_verify(args: argparse.Namespace) -> int:
     l_max = args.l_max
@@ -125,24 +132,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CoinWeighError(
             f"--l-max must be in 1..{ENUMERATION_CAP_L}, got {l_max}"
         )
-    reports = []
+    doc = []
     failed_at: int | None = None
     with verify.worker_pool(args.threads):
         for l in range(1, l_max + 1):
             report = verify.cross_check(l, threads=args.threads)
-            reports.append(report)
+            # Each report is rendered once; the text lines print from it.
+            row = _json_row({key: getattr(report, key) for key in _REPORT_FIELDS})
+            row["per_delta"] = [_json_row(vars(cell)) for cell in report.per_delta]
+            doc.append(row)
             if not args.json:
                 status = "PASS" if report.ok else "FAIL"
                 print(
-                    f"l={l}: {status} avg={rational_str(report.empirical_avg)} "
-                    f"nested={rational_str(report.nested_empirical)} "
-                    f"max={report.max_proposed}"
+                    f"l={l}: {status} avg={row['empirical_avg']} "
+                    f"nested={row['nested_empirical']} max={row['max_proposed']}"
                 )
-                shown = report.per_delta[:_PER_DELTA_SHOWN]
+                shown = row["per_delta"][:_PER_DELTA_SHOWN]
                 rows = "; ".join(
-                    f"d={row.delta}: {rational_str(row.analytic)} vs "
-                    f"{rational_str(row.empirical)} ({row.configs} cfgs)"
-                    for row in shown
+                    f"d={cell['delta']}: {cell['analytic']} vs "
+                    f"{cell['empirical']} ({cell['configs']} cfgs)"
+                    for cell in shown
                 )
                 extra = len(report.per_delta) - len(shown)
                 tail = f"; ... {extra} more" if extra > 0 else ""
@@ -152,31 +161,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if not report.ok and failed_at is None:
                 failed_at = l
     if args.json:
-        doc = [
-            {
-                "l": rep.l,
-                "n": rep.n,
-                "ok": rep.ok,
-                "analytic_avg": rational_str(rep.analytic_avg),
-                "empirical_avg": rational_str(rep.empirical_avg),
-                "nested_closed": rational_str(rep.nested_closed),
-                "nested_empirical": rational_str(rep.nested_empirical),
-                "predicted_max": rep.predicted_max,
-                "max_proposed": rep.max_proposed,
-                "max_nested": rep.max_nested,
-                "per_delta": [
-                    {
-                        "delta": row.delta,
-                        "analytic": rational_str(row.analytic),
-                        "empirical": rational_str(row.empirical),
-                        "configs": row.configs,
-                    }
-                    for row in rep.per_delta
-                ],
-                "mismatches": list(rep.mismatches),
-            }
-            for rep in reports
-        ]
         print(json.dumps(doc, sort_keys=True))
     if failed_at is None:
         if not args.json:

@@ -189,6 +189,8 @@ class Configuration:
     @classmethod
     def from_text(cls, text: str) -> "Configuration":
         """Parse a comma-separated weight vector like ``0,0,1,0,0,1,0,0``."""
+        if not isinstance(text, str):
+            raise InvalidConfigurationError(f"weight list must be a str: {text!r}")
         try:
             weights = tuple(int(part.strip()) for part in text.split(","))
         except ValueError as exc:
@@ -211,18 +213,12 @@ class Configuration:
         return p == q
 
     def as_text(self) -> str:
-        """The weight list as ``from_text`` reads it, e.g. ``0,0,1,0,0,1``.
+        """The weight list as ``from_text`` reads it, e.g. ``0,0,1,0,0,1``."""
+        return ",".join(map(str, self.weights))
 
-        Rendered from the located support rather than by joining the
-        ``_dense`` weights, which takes about ten times as long at n = 4096.
-        """
-        p, q = self.positions
-        parts = ["0"] * len(self.weights)
-        if p == q:
-            parts[p - 1] = str(TOTAL_WEIGHT)
-        else:
-            parts[p - 1] = parts[q - 1] = "1"
-        return ",".join(parts)
+
+# Bytes-like objects iterate and index as ints, but are not lists of positions.
+_BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
 def _check_increasing(indices: tuple[int, ...]) -> None:
@@ -244,9 +240,9 @@ class Subset(tuple):
 
     ``Subset(indices)`` checks that the indices are a nonempty, strictly
     increasing sequence of exact ``int`` positions >= 1, and raises
-    ``InvalidSubsetError`` otherwise.  Every instance holds that invariant,
-    so ``weigh`` and ``validate_subset`` check only its last index against
-    n, in O(1).  Build one ``Subset`` for a subset weighed many times; a
+    ``InvalidSubsetError`` otherwise, as it does for ``bytes``, ``bytearray``
+    and ``memoryview``.  Every instance holds that invariant, so ``weigh``
+    and ``validate_subset`` check only its last index against n, in O(1).  Build one ``Subset`` for a subset weighed many times; a
     plain tuple is checked again on every call.  Equality and hashing are
     those of the tuple, and slicing or adding one gives a plain tuple.
     ``tuple.__new__(Subset, ...)`` skips the check; only ``_logged_subsets``
@@ -257,8 +253,10 @@ class Subset(tuple):
     __slots__ = ()
 
     def __new__(cls, indices: Iterable[int]) -> "Subset":
-        if not isinstance(indices, Iterable):
-            raise InvalidSubsetError(f"weighing subset must be iterable: {indices!r}")
+        if not isinstance(indices, Iterable) or isinstance(indices, _BYTES_LIKE):
+            raise InvalidSubsetError(
+                f"weighing subset must be iterable and not bytes: {indices!r}"
+            )
         subset = tuple.__new__(cls, indices)
         _check_increasing(subset)
         return subset
@@ -303,12 +301,15 @@ def validate_subset(subset: tuple[int, ...], n: int) -> None:
     """Check that ``subset`` is a strictly increasing tuple inside 1..n.
 
     Any other sequence is checked index by index, in O(len), and anything
-    that is not a sequence is rejected.  A ``Subset`` (of that exact type)
-    was checked when it was made, so only its last index is compared with n.
+    that is not a sequence, or is bytes-like, is rejected.  A ``Subset`` (of
+    that exact type) was checked when it was made, so only its last index is
+    compared with n.
     """
     if type(subset) is not Subset:
-        if not isinstance(subset, Sequence):
-            raise InvalidSubsetError(f"weighing subset must be a sequence: {subset!r}")
+        if not isinstance(subset, Sequence) or isinstance(subset, _BYTES_LIKE):
+            raise InvalidSubsetError(
+                f"weighing subset must be a sequence and not bytes: {subset!r}"
+            )
         _check_increasing(subset)
     if subset[-1] > n:
         raise InvalidSubsetError(f"index {subset[-1]} out of range for n={n}")

@@ -226,12 +226,6 @@ def _nested_core(n: int, ask: Scale) -> tuple[int, int]:
     return lo, lo
 
 
-def _transcript(
-    n: int, log: list[tuple[Runs, int]], support: tuple[int, int]
-) -> Transcript:
-    return Transcript(_logged_subsets(n, log), _dense(n, *support))
-
-
 def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
     """Execute the halving scheme on ``config`` (any n >= 2).
 
@@ -246,14 +240,15 @@ def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
     ask, log = oracle(p, q)
     probe = partial(weigh_runs, p, q) if debug else None
     support = _proposed_core(n, ask, probe)
-    return _transcript(n, log, support)
+    return Transcript(_logged_subsets(n, log), _dense(n, *support))
 
 
 def run_nested(config: Configuration) -> Transcript:
     """Execute nested bisection on ``config`` (any n >= 2)."""
+    n = config.n
     ask, log = oracle(*config.positions)
-    support = _nested_core(config.n, ask)
-    return _transcript(config.n, log, support)
+    support = _nested_core(n, ask)
+    return Transcript(_logged_subsets(n, log), _dense(n, *support))
 
 
 def check_nested(transcript: Transcript) -> bool:

@@ -344,6 +344,11 @@ class TestTGivenDelta:
             for table in tables:
                 assert t_given_delta(l, delta, table) == expected, (delta, table)
 
+    @pytest.mark.parametrize("table", [5, "t", fraction_t_table(3)])
+    def test_rejects_table_of_another_type(self, table):
+        with pytest.raises(InvalidSizeError, match="^table must be a TTable or None"):
+            t_given_delta(3, 1, table)
+
     def test_delta_range_checked(self):
         with pytest.raises(InvalidSizeError):
             t_given_delta(3, 8)
@@ -592,6 +597,28 @@ class TestNestedClosedForms:
         n = 1 << i
         _, opt2 = nested_closed_forms(i)
         assert opt2 == F((2 * n + 1) * i - 2 * (n - 1), n + 1)
+
+    def test_matches_log_form_proof(self):
+        # Proof for every l >= 0, with n = 2**l (so 2**(l+1) = 2n), that
+        #   nested_closed_forms(l)[1] = ((l-1) 2**(l+1) + l + 2) / (2**l + 1)
+        # equals the log form ((2n+1) l - 2(n-1)) / (n+1).  The denominators
+        # are both n + 1.  Each numerator is (a n + b)(c l + d) plus a rest,
+        # which expands to coefficients of (n l, n, l, 1); equal coefficients
+        # prove the numerators equal at every l.
+        def form(n_factor, l_factor, rest):
+            (a, b), (c, d) = n_factor, l_factor
+            return tuple(x + y for x, y in zip((a * c, a * d, b * c, b * d), rest))
+
+        closed = form((2, 0), (1, -1), (0, 0, 1, 2))  # 2n (l - 1) + l + 2
+        log_form = form((2, 1), (1, 0), (0, -2, 0, 2))  # (2n + 1) l - 2n + 2
+        assert closed == log_form == (2, -2, 1, 2)
+
+        # The function computes that numerator over 2**l + 1.
+        c_nl, c_n, c_l, c_1 = closed
+        for l in range(65):
+            n = 1 << l
+            numerator = c_nl * n * l + c_n * n + c_l * l + c_1
+            assert nested_closed_forms(l)[1] == F(numerator, n + 1), l
 
     @pytest.mark.parametrize("l", sorted(NESTED_AVG))
     def test_frozen_values(self, l):

@@ -470,6 +470,10 @@ class TestPinnedOutput:
                 ["verify", "--l-max", "8", "--threads", "2"],
                 "89b8639fabb9984a68ba8945e01f2c999c1ba20089ed20a147d130a308983d46",
             ),
+            (
+                ["verify", "--l-max", "8", "--threads", "2", "--json"],
+                "668333152e5e31cf0a198af6abd6afa4700a82325c047f0a723c95724ccdf682",
+            ),
         ],
     )
     def test_stdout(self, capsys, argv, stdout_digest):

@@ -206,6 +206,8 @@ class TestConfiguration:
     def test_from_text_rejects_garbage(self):
         with pytest.raises(InvalidConfigurationError):
             Configuration.from_text("1,x,1")
+        with pytest.raises(InvalidConfigurationError, match="^weight list must be a str"):
+            Configuration.from_text(5)
 
     def test_immutable(self):
         config = Configuration.type_one(2, 1)
@@ -293,11 +295,16 @@ class TestWeigh:
         assert weigh(config, tuple(range(1, n + 1))) == 2
 
     @pytest.mark.parametrize(
-        "subset", [(), (0,), (3, 2), (1, 1), (5,), (1, "2"), (True, 2), 5, None]
+        "subset",
+        [
+            (), (0,), (3, 2), (1, 1), (5,), (1, "2"), (True, 2), 5, None,
+            b"\x01\x02", bytearray(b"\x01\x02"), memoryview(b"\x01\x02"),
+        ],
     )
     def test_rejects_bad_subsets(self, subset):
         # As given, to validate_subset and to weigh, and as a Subset, which
-        # is rejected when made or, for (5,), when weighed at n = 4.
+        # is rejected when made or, for (5,), when weighed at n = 4.  The
+        # bytes-like ones hold the ints 1 and 2, but are no list of positions.
         config = Configuration.type_one(4, 1)
         with pytest.raises(InvalidSubsetError):
             validate_subset(subset, 4)

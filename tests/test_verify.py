@@ -86,8 +86,11 @@ class TestExhaustiveStats:
             assert all(averages[n] == opt2[n] for n in averages)
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown strategy 'greedy'$"):
             exhaustive_stats(4, "greedy")
+        # An unhashable one too, not a TypeError from the name lookup.
+        with pytest.raises(ValueError, match=r"^unknown strategy \['x'\]$"):
+            exhaustive_stats(4, ["x"])
 
     def test_cap_enforced(self):
         with pytest.raises(TooLargeError):
@@ -305,16 +308,28 @@ class TestCrossCheck:
         report = cross_check(l)
         assert report.ok
         assert report.mismatches == ()
-        assert report.avg_equal and report.nested_equal and report.max_equal
         assert report.analytic_avg == report.empirical_avg == t_ave_proposed(l)
         assert (
             report.nested_closed
-            == report.nested_log_form
             == report.nested_dp
             == report.nested_empirical
             == nested_closed_forms(l)[1]
         )
         assert report.max_proposed == report.max_nested == 2 * l - 1
+
+    def test_each_failed_comparison_is_one_mismatch(self, monkeypatch):
+        # Wrong analytic values for all three comparisons: each fails once,
+        # with its own line, and the report is not ok.
+        monkeypatch.setattr(verify.analysis, "t_ave_proposed", lambda l: F(0))
+        monkeypatch.setattr(verify.analysis, "nested_closed_forms", lambda l: (F(l), F(1)))
+        monkeypatch.setattr(verify.analysis, "t_max", lambda l: 0)
+        report = cross_check(2, threads=1)
+        assert not report.ok
+        assert report.mismatches == (
+            "proposed average: analytic 0/1 != exhaustive 11/5",
+            "nested average disagreement: closed 1/1, recursion 12/5, exhaustive 12/5",
+            "max weighings: predicted 0, proposed 3, nested 3",
+        )
 
     def test_l2_per_delta_report(self):
         report = cross_check(2)
