@@ -242,9 +242,10 @@ class Subset(tuple):
     increasing sequence of exact ``int`` positions >= 1, and raises
     ``InvalidSubsetError`` otherwise, as it does for ``bytes``, ``bytearray``
     and ``memoryview``.  Every instance holds that invariant, so ``weigh``
-    and ``validate_subset`` check only its last index against n, in O(1).  Build one ``Subset`` for a subset weighed many times; a
-    plain tuple is checked again on every call.  Equality and hashing are
-    those of the tuple, and slicing or adding one gives a plain tuple.
+    and ``validate_subset`` check only its last index against n, in O(1).
+    Build one ``Subset`` for a subset weighed many times; a plain tuple is
+    checked again on every call.  Equality and hashing are those of the
+    tuple, and slicing or adding one gives a plain tuple.
     ``tuple.__new__(Subset, ...)`` skips the check; only ``_logged_subsets``
     makes one that way, after proving the invariant from the runs of its
     query.
@@ -303,8 +304,10 @@ def validate_subset(subset: tuple[int, ...], n: int) -> None:
     Any other sequence is checked index by index, in O(len), and anything
     that is not a sequence, or is bytes-like, is rejected.  A ``Subset`` (of
     that exact type) was checked when it was made, so only its last index is
-    compared with n.
+    compared with n, which must be an ``int``.
     """
+    if type(n) is not int:
+        raise InvalidSizeError(f"coin count must be an int, got {n!r}")
     if type(subset) is not Subset:
         if not isinstance(subset, Sequence) or isinstance(subset, _BYTES_LIKE):
             raise InvalidSubsetError(
@@ -324,6 +327,8 @@ def weigh(config: Configuration, subset: tuple[int, ...]) -> int:
     subset and count 1 each, so a coin of weight 2 (p == q) counts twice,
     as in ``weigh_runs``, which this dense route is kept independent of.
     """
+    if not isinstance(config, Configuration):
+        raise InvalidConfigurationError(f"not a Configuration: {config!r}")
     validate_subset(subset, config.n)
     total = 0
     for pos in config.positions:

@@ -17,13 +17,12 @@ for n = 2**l coins.  They differ in how they spend the average case:
   the region the previous weighing pinned down, so type-II configurations
   are resolved one coin at a time.
 
-Both cores run the same phases: Π0 on weight 2, then, for the halving
-scheme only, the joint rounds, then Π0 on weight 1 (``_bisect1``).  Each
-hand-off is the last step of the procedure that makes it, so each core is
-a flat loop, not a set of recursive procedures.  In ``_proposed_core`` a
-Π1 or Π2 hand-off replaces the two regions in place, and once a region is
-a single coin only the other one is bisected.  ``_nested_core`` bisects
-both halves of a 1 / 1 split, the lower one first.
+Both cores are built on one Π0 loop, ``_bisect``: Π0 on weight 2, then,
+for the halving scheme only, the joint rounds, then Π0 on weight 1 on each
+region.  Each hand-off is the last step of the procedure that makes it, so
+each core is a sequence of flat loops, not a set of recursive procedures.
+In ``_proposed_core`` a Π1 or Π2 hand-off replaces the two regions in
+place.
 
 In both strategies every region is one run of consecutive coins and every
 query is the union of at most two runs.  So each strategy has a private core
@@ -32,9 +31,9 @@ that works on half-open runs ``(lo, hi)``.  A core is given n and the scale
 through it, and returns the recovered support.  It never sees the hidden
 support and never records a query: ``ask`` logs each (runs, outcome) pair
 as the scale answers it.  The exhaustive verifier calls the cores directly;
-``run_proposed`` and ``run_nested`` turn the log and the support into a
-``Transcript`` of ``model.Subset`` queries and a dense estimate, both built
-by ``model`` (see its docstring).
+``run_proposed`` and ``run_nested`` share one run body, which turns the log
+and the support into a ``Transcript`` of ``model.Subset`` queries and a
+dense estimate, both built by ``model`` (see its docstring).
 
 ``check_nested`` decides whether a finished transcript obeys the nested
 discipline (each query refines a single currently-open region).  The proposed
@@ -43,12 +42,14 @@ strategy violates it as soon as a Π1 round weighs across two regions.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 from .model import (
     Configuration,
     InternalContractError,
+    InvalidConfigurationError,
     Runs,
     Scale,
     Subset,
@@ -87,18 +88,24 @@ def _union(alo: int, ahi: int, blo: int, bhi: int) -> Runs:
     return ((blo, bhi), (alo, ahi))
 
 
-def _bisect1(ask: Scale, lo: int, hi: int) -> int:
-    """Π0 on weight 1: the one coin of the run [lo, hi), found by bisection."""
+def _bisect(ask: Scale, lo: int, hi: int, w: int) -> tuple[int, int, int]:
+    """Π0 on the run [lo, hi) of weight w: ``(c, c + 1, c + 1)`` once coin c
+    holds all of w, or for w = 2 ``(lo, mid, hi)`` once a weighing of the
+    lower half [lo, mid) splits w 1 / 1.  Other readings raise
+    ``InternalContractError``.
+    """
     while hi - lo > 1:
         mid = (lo + hi) // 2
         o = ask(((lo, mid),))
         if o == 0:
             lo = mid
-        elif o == 1:
+        elif o == w:
             hi = mid
+        elif w == 2 and o == 1:
+            return lo, mid, hi
         else:
-            raise InternalContractError(f"w(s)=1 but weighed {o} on a half")
-    return lo
+            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
+    return lo, hi, hi
 
 
 def _proposed_core(
@@ -111,38 +118,27 @@ def _proposed_core(
     logging, each entry into a joint round first checks its precondition
     with it and raises ``InternalContractError`` if that fails.
 
-    The procedures run as loop phases, and each hand-off replaces the
-    regions in place:
+    The procedures run as phases, and each hand-off replaces the regions in
+    place:
 
-    * Π0 bisects [1, n + 1), of weight 2, until a single coin holds both
-      units (returned at once) or a weighing splits the weight 1 / 1, which
-      hands the two halves a and b to the joint rounds.
+    * ``_bisect`` does Π0 on [1, n + 1), of weight 2, until a single coin
+      holds both units (returned at once) or a weighing splits the weight
+      1 / 1, which hands the two halves a and b to the joint rounds.
     * Each pass of the joint-round loop is one Π1 round on a and b, each of
       weight 1.  Outcome 0 or 2 keeps both upper or both lower halves.
       Outcome 1 is Π2's tie-break, which asks one more weighing and hands
       new regions back to Π1; when a and b both have two coins that
       weighing settles all four, and the support is returned.
-    * Once a or b is a single coin, that coin is known and the loop ends;
-      ``_bisect1`` finds the coin of the other region.
+    * Once a or b is a single coin the loop ends, and ``_bisect`` does Π0
+      on weight 1 on a, then on b; the single coin costs no weighing.
     """
-    # Π0 on weight 2.
-    lo, hi = 1, n + 1
-    while True:
-        if hi - lo == 1:
-            return lo, lo
-        mid = (lo + hi) // 2
-        o = ask(((lo, mid),))
-        if o == 0:
-            lo = mid
-        elif o == 2:
-            hi = mid
-        else:
-            # Weight split 1 / 1 across the halves.
-            break
+    alo, blo, bhi = _bisect(ask, 1, n + 1, 2)
+    if blo == bhi:
+        return alo, alo
 
     # Joint rounds.  Known on entry to each pass: w(a) = w(b) = 1 for
     # a = [alo, ahi) and b = [blo, bhi).
-    alo, ahi, blo, bhi = lo, mid, mid, hi
+    ahi = blo
     while True:
         if probe is not None and (
             probe(((alo, ahi),)),
@@ -192,38 +188,37 @@ def _proposed_core(
         else:
             ahi, blo, bhi = amid, bmid, bqtr
 
-    # Π0 on weight 1 on the region that is not yet a single coin.
-    if ahi - alo == 1:
-        coin, other = alo, _bisect1(ask, blo, bhi)
-    else:
-        coin, other = blo, _bisect1(ask, alo, ahi)
-    return (coin, other) if coin < other else (other, coin)
+    c = _bisect(ask, alo, ahi, 1)[0]
+    d = _bisect(ask, blo, bhi, 1)[0]
+    return (c, d) if c < d else (d, c)
 
 
 def _nested_core(n: int, ask: Scale) -> tuple[int, int]:
     """Nested bisection on coins 1..n, weighing through ``ask``.
 
     Returns the recovered support.  Every query is the lower half of the
-    region it refines.  Π0 bisects [1, n + 1), of weight 2, until a single
-    coin holds both units or a weighing splits the weight 1 / 1; then each
-    half is bisected with weight 1, the lower one first.  A reading other
-    than 0, 1 or 2 raises ``InternalContractError``, where the weight-2 loop
-    of ``_proposed_core`` hands it to the joint rounds; so the two loops
-    stay separate.
+    region it refines: ``_bisect`` does Π0 on [1, n + 1), of weight 2, until
+    a single coin holds both units or a weighing splits the weight 1 / 1,
+    and then on each half with weight 1, the lower one first.
     """
-    lo, hi = 1, n + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        o = ask(((lo, mid),))
-        if o == 0:
-            lo = mid
-        elif o == 2:
-            hi = mid
-        elif o == 1:
-            return _bisect1(ask, lo, mid), _bisect1(ask, mid, hi)
-        else:
-            raise InternalContractError(f"w(s)=2 but weighed {o} on a half")
-    return lo, lo
+    lo, mid, hi = _bisect(ask, 1, n + 1, 2)
+    if mid == hi:
+        return lo, lo
+    return _bisect(ask, lo, mid, 1)[0], _bisect(ask, mid, hi, 1)[0]
+
+
+def _run(
+    config: Configuration, core: Callable[..., tuple[int, int]], debug: bool = False
+) -> Transcript:
+    # Both runners' body; with ``debug`` the core also gets a scale that
+    # does not log.
+    if not isinstance(config, Configuration):
+        raise InvalidConfigurationError(f"not a Configuration: {config!r}")
+    n = config.n
+    ask, log = oracle(*config.positions)
+    probe = (partial(weigh_runs, *config.positions),) if debug else ()
+    support = core(n, ask, *probe)
+    return Transcript(_logged_subsets(n, log), _dense(n, *support))
 
 
 def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
@@ -235,20 +230,12 @@ def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
     transcript is the same, and raises ``InternalContractError`` if it
     fails.
     """
-    n = config.n
-    p, q = config.positions
-    ask, log = oracle(p, q)
-    probe = partial(weigh_runs, p, q) if debug else None
-    support = _proposed_core(n, ask, probe)
-    return Transcript(_logged_subsets(n, log), _dense(n, *support))
+    return _run(config, _proposed_core, debug)
 
 
 def run_nested(config: Configuration) -> Transcript:
     """Execute nested bisection on ``config`` (any n >= 2)."""
-    n = config.n
-    ask, log = oracle(*config.positions)
-    support = _nested_core(n, ask)
-    return Transcript(_logged_subsets(n, log), _dense(n, *support))
+    return _run(config, _nested_core)
 
 
 def check_nested(transcript: Transcript) -> bool:
@@ -263,6 +250,8 @@ def check_nested(transcript: Transcript) -> bool:
     Any query that straddles regions, repeats resolved coins, or reports an
     outcome impossible for its region makes the transcript non-nested.
     """
+    if not isinstance(transcript, Transcript):
+        raise InvalidConfigurationError(f"not a Transcript: {transcript!r}")
     n = len(transcript.estimate)
     regions: list[tuple[set[int], int]] = [(set(range(1, n + 1)), 2)]
 

@@ -366,7 +366,10 @@ def fit_loglinear(
     Closed-form normal equations in binary64; two exactly collinear points
     give the exact slope and intercept with zero residual.
     """
-    points = [(l, float(v)) for l, v in values if l_min <= l <= l_max]
+    try:
+        points = [(l, float(v)) for l, v in values if l_min <= l <= l_max]
+    except (TypeError, ValueError) as exc:
+        raise InvalidSizeError(f"values must be (l, number) pairs: {values!r}") from exc
     if len(points) < 2 or len({l for l, _ in points}) < 2:
         raise InvalidSizeError(
             f"need at least two distinct l in {l_min}..{l_max} to fit"

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from coinweigh import verify
+from coinweigh import analysis, cli, verify
 from coinweigh.analysis import rational_str
 from coinweigh.cli import main
 from coinweigh.model import InternalContractError
@@ -293,6 +293,40 @@ class TestVerify:
         )
         assert pool_log == {"created": 0, "cancelled": []}
 
+    def test_analytic_mismatch_fails_and_later_sizes_run(self, capsys, monkeypatch):
+        # The analytic average is wrong at l = 2 only: that size fails with
+        # its mismatch line, l = 3 still runs and passes, and the exit code
+        # is 1.
+        exact = analysis.t_ave_proposed
+
+        def wrong_at_2(l, *args, **kwargs):
+            return exact(l, *args, **kwargs) + (l == 2)
+
+        monkeypatch.setattr(analysis, "t_ave_proposed", wrong_at_2)
+        code, out, err = run(capsys, "verify", "--l-max", "3", "--threads", "1")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [line.split(" ")[0] for line in lines if line.startswith("l=")] == [
+            "l=1:", "l=2:", "l=3:"
+        ]
+        assert lines[0].startswith("l=1: PASS")
+        assert any(line.startswith("l=2: FAIL") for line in lines)
+        assert any(line.startswith("l=3: PASS") for line in lines)
+        assert "  mismatch: proposed average: analytic 16/5 != exhaustive 11/5" in lines
+        assert lines[-1] == "FAIL l=2"
+
+        code, out, err = run(
+            capsys, "verify", "--l-max", "3", "--threads", "1", "--json"
+        )
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert [(row["l"], row["ok"]) for row in doc] == [
+            (1, True), (2, False), (3, True)
+        ]
+        assert doc[1]["mismatches"] == [
+            "proposed average: analytic 16/5 != exhaustive 11/5"
+        ]
+
     def test_interrupt_exits_130(self, capsys, monkeypatch, pool_log):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -364,6 +398,27 @@ class TestSweep:
             cells = line.split(",")
             assert cells[8] == cells[2]  # simulated == analytic average
             assert cells[9] == cells[4]
+
+    def test_simulate_past_the_cap_leaves_cells_blank(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Sizes past the enumeration cap are not simulated: their CSV cells
+        # are empty and their JSON values null.
+        monkeypatch.setattr(cli, "ENUMERATION_CAP_L", 2)
+        out_path = tmp_path / "capped.csv"
+        argv = ["sweep", "--l-max", "3", "--simulate", "--threads", "1"]
+        code, _, err = run(capsys, *argv, "--out", str(out_path))
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out_path.read_text().splitlines()]
+        assert rows[0] == CSV_HEADER.split(",") + ["sim_prop_avg", "sim_nested_avg"]
+        assert [row[8:] for row in rows[1:]] == [["1", "1"], ["2.2", "2.4"], ["", ""]]
+
+        code, out, err = run(capsys, *argv, "--out", str(out_path), "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [(row["sim_prop_avg"], row["sim_nested_avg"]) for row in doc] == [
+            ("1/1", "1/1"), ("11/5", "12/5"), (None, None)
+        ]
 
     @pytest.mark.parametrize(
         "argv, pools",
@@ -493,6 +548,24 @@ class TestPinnedOutput:
         # and for the halving scheme joint rounds of two runs each.
         weights = ["0"] * 4096
         weights[1000 - 1] = weights[3001 - 1] = "1"
+        code, out, err = run(
+            capsys, "trace", "--weights", ",".join(weights), "--strategy", strategy, "--json"
+        )
+        assert (code, err) == (0, "")
+        assert sha256(out.encode("utf-8")) == stdout_digest
+
+    @pytest.mark.parametrize(
+        "strategy, stdout_digest",
+        [
+            ("proposed", "d6a9ede34d55d439cd6f43526e28a29c7748801c655b86e9ab425ca4639b4dcc"),
+            ("nested", "1deb85cc28862a2ea38c8eda3be8afcc18c17844aac421931de3d26beb13fbde"),
+        ],
+    )
+    def test_trace_json_weight_two_off_a_power_of_two(self, capsys, strategy, stdout_digest):
+        # Coin 1234 of 4095 weighs 2: Π0 on weight 2 ends at a single coin,
+        # on runs whose halves differ by one coin.
+        weights = ["0"] * 4095
+        weights[1234 - 1] = "2"
         code, out, err = run(
             capsys, "trace", "--weights", ",".join(weights), "--strategy", strategy, "--json"
         )

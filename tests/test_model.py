@@ -313,6 +313,17 @@ class TestWeigh:
         with pytest.raises(InvalidSubsetError):
             weigh(config, Subset(subset))
 
+    @pytest.mark.parametrize("n", ["4", 4.0, None, True])
+    def test_rejects_a_size_that_is_not_an_int(self, n):
+        for subset in ((1,), Subset((1,))):
+            with pytest.raises(InvalidSizeError, match="coin count must be an int"):
+                validate_subset(subset, n)
+
+    @pytest.mark.parametrize("config", [5, None, (0, 2), "0,2"])
+    def test_rejects_what_is_not_a_configuration(self, config):
+        with pytest.raises(InvalidConfigurationError, match="not a Configuration"):
+            weigh(config, (1,))
+
     @pytest.mark.parametrize(
         "make",
         [

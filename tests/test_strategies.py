@@ -16,6 +16,7 @@ from coinweigh import cli, model, strategies
 from coinweigh.model import (
     Configuration,
     InternalContractError,
+    InvalidConfigurationError,
     Subset,
     enumerate_configs,
     iter_supports,
@@ -119,6 +120,24 @@ class TestProposed:
         lie = lying_scale([1, 1, 1, 1])
         with pytest.raises(InternalContractError, match="tie-break"):
             strategies._proposed_core(4, lie, lie)
+
+    @pytest.mark.parametrize("reading", [3, -1])
+    def test_impossible_weight_two_reading_raises(self, reading):
+        # No honest scale reads 3 or -1 on a half of a run of weight 2; the
+        # core raises instead of taking it for a 1 / 1 split.
+        with pytest.raises(InternalContractError) as info:
+            strategies._proposed_core(8, lying_scale([reading]))
+        assert str(info.value) == f"w(s)=2 but weighed {reading} on a half"
+
+    @pytest.mark.parametrize("config", [5, None, (0, 2), "0,2"])
+    @pytest.mark.parametrize(
+        "runner",
+        [run_proposed, partial(run_proposed, debug=True), run_nested],
+        ids=["proposed", "proposed-debug", "nested"],
+    )
+    def test_rejects_what_is_not_a_configuration(self, runner, config):
+        with pytest.raises(InvalidConfigurationError, match="not a Configuration"):
+            runner(config)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
     def test_worst_case_attained(self, l):
@@ -234,6 +253,24 @@ class TestCheckNested:
         )
         assert not check_nested(transcript)
 
+    @pytest.mark.parametrize(
+        "query", [(), (2,), (5,)], ids=["empty", "resolved-coin", "past-n"]
+    )
+    def test_query_in_no_open_region_rejected(self, query):
+        # After {1,2} -> 1 and {1} -> 1, coins 1 and 2 are resolved and only
+        # {3,4} is open.  An empty query, one at coin 2 and one at coin 5,
+        # past n = 4, start in no open region.
+        transcript = Transcript(
+            queries=(((1, 2), 1), ((1,), 1), (query, 0)),
+            estimate=(1, 0, 0, 1),
+        )
+        assert not check_nested(transcript)
+
+    @pytest.mark.parametrize("transcript", [5, None, EXAMPLE_CONFIG])
+    def test_rejects_what_is_not_a_transcript(self, transcript):
+        with pytest.raises(InvalidConfigurationError, match="not a Transcript"):
+            check_nested(transcript)
+
 
 class TestBudget:
     @given(st.data())
@@ -321,10 +358,11 @@ class TestTranscriptSubsets:
 # The recursive cores the loop cores replaced, with their ``_union``, kept as
 # the reference they must match: Π0, Π1 and Π2 as mutually recursive
 # closures, and nested bisection as one recursive closure.  Their logic and
-# messages are unchanged; only annotations and comments were dropped.  Like
-# the loop cores, they weigh only through the scales ``ask`` and ``probe``
-# they are given and return the support, so a test can hand both the same
-# lying scale.
+# messages are unchanged, except that ``pi0``, like ``solve``, takes only a
+# reading of 1 on weight 2 for a 1 / 1 split and raises on any other; only
+# annotations and comments were dropped.  Like the loop cores, they weigh
+# only through the scales ``ask`` and ``probe`` they are given and return the
+# support, so a test can hand both the same lying scale.
 def _union(alo, ahi, blo, bhi):
     if alo < blo:
         return ((alo, ahi), (blo, bhi))
@@ -344,7 +382,7 @@ def recursive_proposed_core(n, ask, probe=None):
             pi0(mid, hi, w)
         elif o == w:
             pi0(lo, mid, w)
-        elif w == 2:
+        elif w == 2 and o == 1:
             pi1(lo, mid, mid, hi)
         else:
             raise InternalContractError(f"w(s)={w} but weighed {o} on a half")

@@ -390,3 +390,8 @@ class TestFitLoglinear:
             fit_loglinear(10, 20, [(10, 12.0)])
         with pytest.raises(InvalidSizeError):
             fit_loglinear(10, 20, [(10, 12.0), (10, 12.5)])
+
+    @pytest.mark.parametrize("values", [5, None, [10, 11], [(10, "x"), (11, 1.0)]])
+    def test_rejects_values_that_are_not_pairs(self, values):
+        with pytest.raises(InvalidSizeError, match="values must be"):
+            fit_loglinear(1, 20, values)
