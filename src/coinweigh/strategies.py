@@ -17,23 +17,30 @@ for n = 2**l coins.  They differ in how they spend the average case:
   the region the previous weighing pinned down, so type-II configurations
   are resolved one coin at a time.
 
-Both cores are built on one Π0 loop, ``_bisect``: Π0 on weight 2, then,
-for the halving scheme only, the joint rounds, then Π0 on weight 1 on each
-region.  Each hand-off is the last step of the procedure that makes it, so
-each core is a sequence of flat loops, not a set of recursive procedures.
-In ``_proposed_core`` a Π1 or Π2 hand-off replaces the two regions in
-place.
-
 In both strategies every region is one run of consecutive coins and every
-query is the union of at most two runs.  So each strategy has a private core
-that works on half-open runs ``(lo, hi)``.  A core is given n and the scale
-``ask`` of ``model.oracle``, weighs each query (runs ascending) only
-through it, and returns the recovered support.  It never sees the hidden
-support and never records a query: ``ask`` logs each (runs, outcome) pair
-as the scale answers it.  The exhaustive verifier calls the cores directly;
-``run_proposed`` and ``run_nested`` share one run body, which turns the log
-and the support into a ``Transcript`` of ``model.Subset`` queries and a
-dense estimate, both built by ``model`` (see its docstring).
+query is the union of at most two runs.  Both are one step function over
+explicit states.  A state holds its regions, as half-open runs
+``(lo, hi)``, and its procedure: Π0 on weight 2 (one kind per strategy,
+since a 1 / 1 split enters Π1 in the halving scheme and Π0 on weight 1 in
+nested search), Π1, Π2, or Π0 on weight 1 on region a and then on b.
+``_query(state)`` gives the runs the state weighs, and
+``_advance(state, reading)`` gives the next state, a leaf that holds the
+support, or None for a reading the state rejects.  A hand-off that needs
+no weighing (a region of one coin) is taken inside ``_advance``, so every
+state but a leaf asks one weighing.
+
+Each strategy has a private core, a loop that follows the step function
+from its root state.  A core is given n and the scale ``ask`` of
+``model.oracle``, weighs each query (runs ascending) only through it, and
+returns the recovered support, or raises ``InternalContractError`` on a
+rejected reading.  It never sees the hidden support and never records a
+query: ``ask`` logs each (runs, outcome) pair as the scale answers it.
+The exhaustive verifier follows it another way: it walks the decision
+tree of the same step function, branching on every reading 0, 1 or 2 that
+a state accepts (see ``verify``).  ``run_proposed`` and ``run_nested``
+share one run body, which turns the log and the support into a
+``Transcript`` of ``model.Subset`` queries and a dense estimate, both
+built by ``model`` (see its docstring).
 
 ``check_nested`` decides whether a finished transcript obeys the nested
 discipline (each query refines a single currently-open region).  The proposed
@@ -81,6 +88,24 @@ class Transcript:
         return len(self.queries)
 
 
+# A state of either strategy is a tuple: its kind, which names the procedure
+# it runs, then its regions, each a run [lo, hi), or its support:
+#   _PROPOSED, _NESTED  lo, hi              Π0 on weight 2 on [lo, hi); a
+#                                           1 / 1 split enters Π1 for the
+#                                           halving scheme, Π0 on weight 1
+#                                           on a and b for nested search
+#   _PI1                alo, ahi, blo, bhi  a joint round on a and b
+#   _PI2                alo, ahi, blo, bhi  its tie-break; b is no smaller
+#   _ONE_A              alo, ahi, blo, bhi  Π0 on weight 1 on a, then on b
+#   _ONE_B              blo, bhi, c         Π0 on weight 1 on b; a's coin is c
+#   _FOUND              p, q                a leaf: the recovered support
+# Every state but a leaf asks one weighing; each Π0 state bisects the run in
+# its first two fields.
+_State = tuple[int, ...]
+
+_PROPOSED, _NESTED, _PI1, _PI2, _ONE_A, _ONE_B, _FOUND = range(7)
+
+
 def _union(alo: int, ahi: int, blo: int, bhi: int) -> Runs:
     # Two runs from disjoint regions, ordered by their first coin.
     if alo < blo:
@@ -88,24 +113,149 @@ def _union(alo: int, ahi: int, blo: int, bhi: int) -> Runs:
     return ((blo, bhi), (alo, ahi))
 
 
-def _bisect(ask: Scale, lo: int, hi: int, w: int) -> tuple[int, int, int]:
-    """Π0 on the run [lo, hi) of weight w: ``(c, c + 1, c + 1)`` once coin c
-    holds all of w, or for w = 2 ``(lo, mid, hi)`` once a weighing of the
-    lower half [lo, mid) splits w 1 / 1.  Other readings raise
-    ``InternalContractError``.
+def _root(kind: int, n: int) -> _State:
+    """The first state on coins 1..n: Π0 on weight 2 for the halving
+    scheme (``_PROPOSED``) or for nested search (``_NESTED``)."""
+    return (kind, 1, n + 1)
+
+
+def _query(state: _State) -> Runs:
+    """The runs that ``state`` weighs (ascending)."""
+    kind = state[0]
+    if kind == _PI1:
+        _, alo, ahi, blo, bhi = state
+        return _union(alo, (alo + ahi) // 2, blo, (blo + bhi) // 2)
+    if kind == _PI2:
+        _, alo, ahi, blo, bhi = state
+        if bhi - blo == 2:
+            return ((alo, alo + 1),)
+        bmid = (blo + bhi) // 2
+        return _union(alo, (alo + ahi) // 2, bmid, (bmid + bhi) // 2)
+    lo = state[1]
+    return ((lo, (lo + state[2]) // 2),)
+
+
+def _found(c: int, d: int) -> _State:
+    return (_FOUND, c, d) if c < d else (_FOUND, d, c)
+
+
+def _one_b(blo: int, bhi: int, c: int) -> _State:
+    # Π0 on weight 1 on b = [blo, bhi), a's coin c known.
+    if bhi - blo > 1:
+        return (_ONE_B, blo, bhi, c)
+    return _found(c, blo)
+
+
+def _one_a(alo: int, ahi: int, blo: int, bhi: int) -> _State:
+    # Π0 on weight 1 on a = [alo, ahi), then on b; a single coin costs
+    # no weighing.
+    if ahi - alo > 1:
+        return (_ONE_A, alo, ahi, blo, bhi)
+    return _one_b(blo, bhi, alo)
+
+
+def _joint(alo: int, ahi: int, blo: int, bhi: int, probe: Scale | None) -> _State:
+    # Entry into Π1 on a = [alo, ahi) and b = [blo, bhi), each of weight 1;
+    # once either is a single coin, Π0 on weight 1 takes over.
+    if probe is not None and (
+        probe(((alo, ahi),)),
+        probe(((blo, bhi),)),
+    ) != (1, 1):
+        raise InternalContractError(
+            f"joint round on [{alo}, {ahi}), [{blo}, {bhi}): not 1 each"
+        )
+    if ahi - alo > 1 and bhi - blo > 1:
+        return (_PI1, alo, ahi, blo, bhi)
+    return _one_a(alo, ahi, blo, bhi)
+
+
+def _advance(state: _State, o: int, probe: Scale | None = None) -> _State | None:
+    """The state after ``state`` reads ``o``, or None for a reading that
+    the state rejects.
+
+    Given ``probe``, a scale that weighs without logging, each entry into a
+    joint round or a tie-break first checks its precondition with it and
+    raises ``InternalContractError`` if that fails.
     """
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        o = ask(((lo, mid),))
+    kind = state[0]
+    if kind == _PI1:
+        _, alo, ahi, blo, bhi = state
+        amid = (alo + ahi) // 2
+        bmid = (blo + bhi) // 2
         if o == 0:
-            lo = mid
-        elif o == w:
-            hi = mid
-        elif w == 2 and o == 1:
-            return lo, mid, hi
-        else:
+            return _joint(amid, ahi, bmid, bhi, probe)
+        if o == 2:
+            return _joint(alo, amid, blo, bmid, probe)
+        # Π2.  Known: the joined lower halves weigh 1, so one coin sits in a
+        # lower half and the other in an upper half.  b is made the larger
+        # region, and keeps that name in the joint rounds that follow.
+        if probe is not None and probe(_union(alo, amid, blo, bmid)) != 1:
+            raise InternalContractError(
+                f"tie-break on [{alo}, {ahi}), [{blo}, {bhi}): lower not 1"
+            )
+        if bhi - blo < ahi - alo:
+            return (_PI2, blo, bhi, alo, ahi)
+        return (_PI2, alo, ahi, blo, bhi)
+    if kind == _PI2:
+        _, alo, ahi, blo, bhi = state
+        if bhi - blo == 2:
+            # a and b both have two coins: one weighing of a's lower coin
+            # settles all four.
+            if o == 0:
+                return _found(alo + 1, blo)
+            if o == 1:
+                return _found(alo, bhi - 1)
+            return None
+        amid = (alo + ahi) // 2
+        bmid = (blo + bhi) // 2
+        bqtr = (bmid + bhi) // 2
+        if o == 0:
+            return _joint(amid, ahi, blo, bmid, probe)
+        if o == 1:
+            # a's lower half holds its coin (else outcome 0 or 2), so b's
+            # coin is in the top quarter of b.
+            return _joint(alo, amid, bqtr, bhi, probe)
+        return _joint(alo, amid, bmid, bqtr, probe)
+
+    # Π0: bisect [lo, hi), of weight w, at its midpoint.
+    lo, hi = state[1], state[2]
+    mid = (lo + hi) // 2
+    w = 2 if kind <= _NESTED else 1
+    if o == 0:
+        lo = mid
+    elif o == w:
+        hi = mid
+    elif kind == _PROPOSED and o == 1:
+        return _joint(lo, mid, mid, hi, probe)
+    elif kind == _NESTED and o == 1:
+        return _one_a(lo, mid, mid, hi)
+    else:
+        return None
+    if kind == _ONE_A:
+        return _one_a(lo, hi, state[3], state[4])
+    if kind == _ONE_B:
+        return _one_b(lo, hi, state[3])
+    return (kind, lo, hi) if hi - lo > 1 else (_FOUND, lo, lo)
+
+
+def _follow(
+    state: _State, ask: Scale, probe: Scale | None = None
+) -> tuple[int, int]:
+    # Weigh each state's query through ``ask`` until a leaf; a rejected
+    # reading raises.
+    while True:
+        o = ask(_query(state))
+        after = _advance(state, o, probe)
+        if after is None:
+            if state[0] == _PI2:
+                raise InternalContractError(
+                    f"singleton weighed {o} in a joint round"
+                )
+            w = 2 if state[0] <= _NESTED else 1
             raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
-    return lo, hi, hi
+        if after[0] == _FOUND:
+            return after[1], after[2]
+        state = after
 
 
 def _proposed_core(
@@ -118,93 +268,31 @@ def _proposed_core(
     logging, each entry into a joint round first checks its precondition
     with it and raises ``InternalContractError`` if that fails.
 
-    The procedures run as phases, and each hand-off replaces the regions in
-    place:
+    The procedures are the states of ``_advance``:
 
-    * ``_bisect`` does Π0 on [1, n + 1), of weight 2, until a single coin
-      holds both units (returned at once) or a weighing splits the weight
-      1 / 1, which hands the two halves a and b to the joint rounds.
-    * Each pass of the joint-round loop is one Π1 round on a and b, each of
-      weight 1.  Outcome 0 or 2 keeps both upper or both lower halves.
-      Outcome 1 is Π2's tie-break, which asks one more weighing and hands
-      new regions back to Π1; when a and b both have two coins that
-      weighing settles all four, and the support is returned.
-    * Once a or b is a single coin the loop ends, and ``_bisect`` does Π0
-      on weight 1 on a, then on b; the single coin costs no weighing.
+    * Π0 on [1, n + 1), of weight 2, bisects until a single coin holds both
+      units (a leaf) or a weighing splits the weight 1 / 1, which hands the
+      two halves a and b to the joint rounds.
+    * Each Π1 state is one joint round on a and b, each of weight 1.
+      Outcome 0 or 2 keeps both upper or both lower halves.  Outcome 1
+      enters Π2's tie-break, which asks one more weighing and hands new
+      regions back to Π1; when a and b both have two coins that weighing
+      settles all four.
+    * Once a or b is a single coin, Π0 on weight 1 bisects a, then b; the
+      single coin costs no weighing.
     """
-    alo, blo, bhi = _bisect(ask, 1, n + 1, 2)
-    if blo == bhi:
-        return alo, alo
-
-    # Joint rounds.  Known on entry to each pass: w(a) = w(b) = 1 for
-    # a = [alo, ahi) and b = [blo, bhi).
-    ahi = blo
-    while True:
-        if probe is not None and (
-            probe(((alo, ahi),)),
-            probe(((blo, bhi),)),
-        ) != (1, 1):
-            raise InternalContractError(
-                f"joint round on [{alo}, {ahi}), [{blo}, {bhi}): not 1 each"
-            )
-        if ahi - alo == 1 or bhi - blo == 1:
-            break
-        amid = (alo + ahi) // 2
-        bmid = (blo + bhi) // 2
-        runs = _union(alo, amid, blo, bmid)
-        o = ask(runs)
-        if o == 0:
-            alo, blo = amid, bmid
-            continue
-        if o == 2:
-            ahi, bhi = amid, bmid
-            continue
-
-        # Π2.  Known: the joined lower halves weigh 1, so one coin sits in a
-        # lower half and the other in an upper half.
-        if probe is not None and probe(runs) != 1:
-            raise InternalContractError(
-                f"tie-break on [{alo}, {ahi}), [{blo}, {bhi}): lower not 1"
-            )
-        if ahi - alo == 2 and bhi - blo == 2:
-            # One weighing settles all four coins.
-            o = ask(((alo, alo + 1),))
-            if o not in (0, 1):
-                raise InternalContractError(
-                    f"singleton weighed {o} in a joint round"
-                )
-            c, d = (alo, bhi - 1) if o else (alo + 1, blo)
-            return (c, d) if c < d else (d, c)
-        if bhi - blo < ahi - alo:
-            alo, ahi, amid, blo, bhi, bmid = blo, bhi, bmid, alo, ahi, amid
-        bqtr = (bmid + bhi) // 2
-        o = ask(_union(alo, amid, bmid, bqtr))
-        if o == 0:
-            alo, bhi = amid, bmid
-        elif o == 1:
-            # a's lower half holds its coin (else outcome 0 or 2), so b's
-            # coin is in the top quarter of b.
-            ahi, blo = amid, bqtr
-        else:
-            ahi, blo, bhi = amid, bmid, bqtr
-
-    c = _bisect(ask, alo, ahi, 1)[0]
-    d = _bisect(ask, blo, bhi, 1)[0]
-    return (c, d) if c < d else (d, c)
+    return _follow(_root(_PROPOSED, n), ask, probe)
 
 
 def _nested_core(n: int, ask: Scale) -> tuple[int, int]:
     """Nested bisection on coins 1..n, weighing through ``ask``.
 
     Returns the recovered support.  Every query is the lower half of the
-    region it refines: ``_bisect`` does Π0 on [1, n + 1), of weight 2, until
-    a single coin holds both units or a weighing splits the weight 1 / 1,
-    and then on each half with weight 1, the lower one first.
+    region it refines: Π0 on [1, n + 1), of weight 2, bisects until a
+    single coin holds both units or a weighing splits the weight 1 / 1, and
+    then Π0 on weight 1 bisects each half, the lower one first.
     """
-    lo, mid, hi = _bisect(ask, 1, n + 1, 2)
-    if mid == hi:
-        return lo, lo
-    return _bisect(ask, lo, mid, 1)[0], _bisect(ask, mid, hi, 1)[0]
+    return _follow(_root(_NESTED, n), ask)
 
 
 def _run(

@@ -1,26 +1,46 @@
-"""Exhaustive verification: run the strategies on every configuration.
+"""Exhaustive verification: earn each strategy's statistics on every
+configuration.
 
 The analytic side of the package predicts averages and maxima from
-recursions; this module earns those numbers the hard way by executing a
-strategy on all n + C(n, 2) configurations, checking that every run recovers
-the exact support, and aggregating exact statistics.  ``cross_check`` then
-compares the two routes, demanding exact equality of rationals.
+recursions; this module earns those numbers the hard way, over all
+n + C(n, 2) configurations, checking that every one is recovered exactly,
+and aggregates exact statistics.  ``cross_check`` then compares the two
+routes, demanding exact equality of rationals.
 
-The exhaustive loop never builds a ``Configuration`` or a subset tuple: it
-walks the supports (p, q) of ``model.iter_supports`` and hands the
-strategies' interval cores the scale ``ask`` of ``model.oracle``.  A core
-sees only the readings of ``ask``, whose log holds each weighing with the
-scale's own answer, so no outcome needs weighing again: a run that returns
-(p, q) has identified the support from true readings.  Work is partitioned
-by ranges of support ranks so it can spread over processes; partial records
-hold integer sums, which merge exactly in any order, and the mean only
-becomes a rational at the end.
+``exhaustive_stats`` does not run each configuration.  It walks the
+decision tree of the strategy's step function (``strategies._query`` and
+``strategies._advance``, the same step function the cores follow), so each
+weighing is asked once per node, not once per configuration below it.  At
+each state it branches on every reading 0, 1 or 2 that the state accepts;
+a leaf holds a support, and its path length is that configuration's
+weighing count.  Three checks replace "the run returned (p, q)":
+
+* every leaf's support (p, q) satisfies 1 <= p <= q <= n;
+* every leaf replays its path: ``model.weigh_runs``, the scale that a
+  core's ``ask`` weighs with, gives that support every reading on the path;
+* after the merge, the leaves number n + C(n, 2).
+
+Why that is enough: two leaves part at a node where they read different
+outcomes of the same runs, so no support can replay both paths, and the
+leaves' supports are distinct configurations.  With the right count they
+are all of them.  Run on any configuration c, a core asks the root's runs
+and reads what c's leaf path reads there, and so on down: the run follows
+that path and returns c, after as many weighings as the path is long.
+
+Work spreads over processes by subtrees.  With more than one worker, the
+tree is expanded one level at a time until its frontier holds at least
+four states per worker, and each job is one frontier state with the path
+that reaches it, which the replay needs; with one worker the one job is
+the root.  Partial records hold integer sums, which merge exactly in any
+order, and the mean only becomes a rational at the end.
+``_run_range``, which runs the cores on a range of configurations, is kept
+as the per-configuration reference.
 
 A CLI run opens one ``worker_pool`` around all of its sizes, and every
-``exhaustive_stats`` call inside it sends its chunks to that one pool; a
+``exhaustive_stats`` call inside it sends its jobs to that one pool; a
 call outside any ``worker_pool`` opens a pool for itself.  ``cross_check``
 computes its analytic side first and then runs the strategies in turn, so
-a failed proposed run returns before any nested chunk is sent.  The pool
+a failed proposed walk returns before any nested job is sent.  The pool
 never outlives the block that opened it.
 """
 
@@ -38,15 +58,27 @@ from itertools import islice
 from .model import (
     InternalContractError,
     InvalidSizeError,
+    Runs,
     _coin_count,
     config_count,
     iter_supports,
     oracle,
     require_enumerable,
+    weigh_runs,
 )
 from . import analysis
 from .analysis import rational_str
-from .strategies import _nested_core, _proposed_core
+from .strategies import (
+    _FOUND,
+    _NESTED,
+    _PROPOSED,
+    _State,
+    _advance,
+    _nested_core,
+    _proposed_core,
+    _query,
+    _root,
+)
 
 __all__ = [
     "StatsRow",
@@ -60,6 +92,7 @@ __all__ = [
 ]
 
 _CORES = {"proposed": _proposed_core, "nested": _nested_core}
+_ROOTS = {"proposed": _PROPOSED, "nested": _NESTED}
 
 
 @dataclass(frozen=True)
@@ -164,7 +197,7 @@ def worker_pool(threads: int | None = None) -> Iterator[None]:
     worker no process starts.  A block opened inside another checks
     ``threads`` and joins the outer pool.  On leaving the block the pool is
     shut down, and when an exception leaves it (a failed check, a broken
-    pool, Ctrl-C) its queued chunks are cancelled first.  The pool never
+    pool, Ctrl-C) its queued jobs are cancelled first.  The pool never
     outlives the block, so its workers never run code older than the call
     that opened it.
     """
@@ -193,7 +226,8 @@ def _run_range(n: int, strategy: str, lo: int, hi: int) -> _Partial:
     as the scale gave it.  So a run that returns the true support has
     identified it, and the log's length is its weighing count; a run that
     returns anything else is an implementation bug.  Per-class cells are
-    keyed by δ = q - p and hold [weighings, configs].
+    keyed by δ = q - p and hold [weighings, configs].  This is the
+    per-configuration reference that the tests compare the walk with.
     """
     core = _CORES[strategy]
     count = 0
@@ -219,15 +253,123 @@ def _run_range(n: int, strategy: str, lo: int, hi: int) -> _Partial:
     return count, total, worst, per_delta
 
 
-def _worker(args: tuple[int, str, int, int]):
-    return _run_range(*args)
+# The readings a walk tries at each state: all that a scale can give for a
+# total weight of 2.
+_READINGS = (0, 1, 2)
+
+# The weighings from the root to a state, last first: (runs, reading, rest),
+# with None for the root.
+_Path = tuple[Runs, int, "_Path"] | None
+
+
+def _frontier(state: _State, jobs: int) -> list[tuple[_State, _Path]]:
+    """The states one level of the tree below ``state`` at a time, each
+    with its path, until there are at least ``jobs`` of them or every one
+    is a leaf.  Their subtrees split the tree's leaves between them."""
+    level = [(state, None)]
+    while len(level) < jobs:
+        below = []
+        for node, path in level:
+            if node[0] == _FOUND:
+                below.append((node, path))
+                continue
+            runs = _query(node)
+            for o in _READINGS:
+                child = _advance(node, o)
+                if child is not None:
+                    below.append((child, (runs, o, path)))
+        if len(below) == len(level):
+            break
+        level = below
+    return level
+
+
+def _failed_leaf(n: int, strategy: str, leaf: tuple[int, int], path: _Path) -> str:
+    # The failure line of a leaf that does not replay its path: the first
+    # configuration whose run reads that path, and the leaf it got.
+    weighed = []
+    while path is not None:
+        runs, o, path = path
+        weighed.append((runs, o))
+    for p, q in iter_supports(n):
+        if all(weigh_runs(p, q, runs) == o for runs, o in weighed):
+            return (
+                f"{strategy} failed to recover support {(p, q)} of n={n}: "
+                f"got {leaf}"
+            )
+    return (
+        f"{strategy} reached support {leaf} of n={n} on readings that no "
+        "configuration gives"
+    )
+
+
+def _walk(n: int, strategy: str, state: _State, path: _Path) -> _Partial:
+    """Walk the subtree below ``state``, reached by ``path``; return the
+    exact partial sums of its leaves, as ``_run_range`` does for a range.
+
+    The walk branches on every reading 0, 1 or 2 that a state accepts.
+    Each leaf's support must lie in 1..n and must give, through
+    ``model.weigh_runs``, every reading on its path; else the walk raises
+    ``InternalContractError``.  A leaf's path length is its weighing count.
+    """
+    count = 0
+    total = 0
+    worst = 0
+    per_delta: dict[int, list[int]] = {}
+    depth = 0
+    link = path
+    while link is not None:
+        link = link[2]
+        depth += 1
+    stack = [(state, path, depth)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        state, path, depth = pop()
+        if state[0] != _FOUND:
+            # The children as ``_frontier`` makes them, written out here
+            # because this loop runs once per node.
+            runs = _query(state)
+            depth += 1
+            for o in _READINGS:
+                child = _advance(state, o)
+                if child is not None:
+                    push((child, (runs, o, path), depth))
+            continue
+        _, p, q = state
+        if not 1 <= p <= q <= n:
+            raise InternalContractError(_failed_leaf(n, strategy, (p, q), path))
+        link = path
+        while link is not None:
+            runs, o, link = link
+            if weigh_runs(p, q, runs) != o:
+                raise InternalContractError(_failed_leaf(n, strategy, (p, q), path))
+        count += 1
+        total += depth
+        if depth > worst:
+            worst = depth
+        cell = per_delta.get(q - p)
+        if cell is None:
+            per_delta[q - p] = [depth, 1]
+        else:
+            cell[0] += depth
+            cell[1] += 1
+    return count, total, worst, per_delta
+
+
+def _worker(job: tuple[int, str, _State, _Path]) -> _Partial:
+    return _walk(*job)
 
 
 def exhaustive_stats(
     n: int, strategy: str, *, threads: int | None = None
 ) -> StatsRow:
-    """Run ``strategy`` on every configuration of n coins and aggregate.
+    """Earn ``strategy``'s statistics on every configuration of n coins.
 
+    The walk of the strategy's decision tree (see the module docstring)
+    visits one leaf per configuration, whose path length is that
+    configuration's weighing count, and raises ``InternalContractError``
+    when a leaf fails its replay or the leaves are not n + C(n, 2).
     Both strategies take every n that passes ``model.require_enumerable``
     (any 2 <= n <= 2**ENUMERATION_CAP_L, else ``TooLargeError`` before any
     worker starts).  ``l`` is log2 n for a power of two and None otherwise.
@@ -235,11 +377,13 @@ def exhaustive_stats(
     independent of partitioning.
 
     ``threads`` defaults to CW_THREADS or the usable CPUs, and is clamped to
-    the usable CPUs.  Inside an open ``worker_pool`` (a CLI run opens one
-    for all its sizes and both strategies) the chunks run on that pool with
+    the usable CPUs.  With one worker the whole tree is one job; with more,
+    each job is the subtree below one state of a frontier of at least four
+    states per worker.  Inside an open ``worker_pool`` (a CLI run opens one
+    for all its sizes and both strategies) the jobs run on that pool with
     its worker count; outside one, a pool is opened for this call.
 
-    ``runtime_s`` is the wall time this call waited for its chunks, and
+    ``runtime_s`` is the wall time this call waited for its jobs, and
     includes pool start-up only when the call opened its own pool.  It is
     reported, never part of any contract.
     """
@@ -251,14 +395,18 @@ def exhaustive_stats(
     start = time.perf_counter()
     with worker_pool(threads):
         workers, executor = _open_pool
-        configs = config_count(n)
-        chunks = 1 if executor is None else min(workers * 4, configs)
-        bounds = [configs * part // chunks for part in range(chunks + 1)]
-        jobs = [(n, strategy, bounds[part], bounds[part + 1]) for part in range(chunks)]
+        root = _root(_ROOTS[strategy], n)
+        frontier = _frontier(root, 1 if executor is None else workers * 4)
+        jobs = [(n, strategy, state, path) for state, path in frontier]
         partials = list((map if executor is None else executor.map)(_worker, jobs))
     runtime = time.perf_counter() - start
 
     count = sum(part[0] for part in partials)
+    if count != config_count(n):
+        raise InternalContractError(
+            f"{strategy} reached {count} leaves of n={n}, not the "
+            f"{config_count(n)} configurations"
+        )
     total = sum(part[1] for part in partials)
     worst = max(part[2] for part in partials)
     merged: dict[int, list[int]] = {}
@@ -295,7 +443,7 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
     legitimately disagree.  Every analytic value is
     computed first; then the strategies run in turn, proposed and then
     nested, on one ``worker_pool`` (the open one, or one opened for this
-    call), so a failed proposed run raises before any nested chunk is sent.
+    call), so a failed proposed walk raises before any nested job is sent.
     Past the enumeration cap it raises ``TooLargeError`` before any worker
     starts.
     """

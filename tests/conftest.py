@@ -1,7 +1,7 @@
 """Shared fixtures: the exhaustive-simulation results reused across tests.
 
 The full sweep over l = 1..10 for both strategies is the single most
-expensive artifact in the suite (about half a million executions at
+expensive artifact in the suite (about half a million leaves to replay at
 l = 10), so it is computed once per session and shared by every acceptance
 criterion that consumes it.
 """
@@ -29,11 +29,11 @@ ACCEPTANCE_L_MAX = 10
 def full_stats():
     """StatsRow for every (l, strategy) with l = 1..10, keyed by that pair.
 
-    Building a row runs the strategy's interval core on every configuration,
-    weighing through the ``ask`` of ``model.oracle``, which logs each outcome
-    as the scale gives it, and checks that the core recovers the support it
-    never sees; so merely constructing this fixture proves recovery
-    correctness for the whole range.  The subset
+    Building a row walks the decision tree of the strategy's step function,
+    the one its core follows: every leaf's support replays each reading on
+    its path through ``model.weigh_runs``, the scale of ``model.oracle``,
+    and the leaves number n + C(n, 2); so merely constructing this fixture
+    proves recovery correctness for the whole range.  The subset
     tuples of the public transcripts are pinned separately, byte for byte,
     by the digest tests in ``test_strategies.py``.  All 20 rows share one
     ``verify.worker_pool``, as the sizes of a CLI run do.

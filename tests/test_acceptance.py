@@ -5,10 +5,11 @@ per criterion.  Each test prints the measured values it checked so the
 evidence is visible with ``-s`` (or in the captured output on failure).
 
 The building of the shared ``full_stats`` fixture is itself the recovery
-check behind criterion 1: exhaustive execution raises if any configuration
-is mis-recovered, for every n = 2, 4, ..., 1024 and both strategies.  Each
-strategy weighs only through an oracle that logs its own answers, so every
-recorded outcome is the scale's reading by construction.
+check behind criterion 1: the exhaustive walk of each strategy's decision
+tree raises if any leaf fails to replay its path on the scale or the
+leaves are not every configuration, for every n = 2, 4, ..., 1024 and both
+strategies.  That proves that a run on each configuration recovers it
+(see the ``verify`` module docstring).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def test_criterion_01_exhaustive_recovery_all_sizes(full_stats):
             assert row.max_weighings >= 1
             total_runtime += row.runtime_s
     print(
-        "criterion 1: all configurations recovered from logged oracle "
-        f"readings, n=2..{1 << ACCEPTANCE_L_MAX} both strategies "
+        "criterion 1: all configurations recovered, every leaf replayed "
+        f"on the scale, n=2..{1 << ACCEPTANCE_L_MAX} both strategies "
         f"({total_runtime:.1f}s total)"
     )
 

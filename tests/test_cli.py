@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from coinweigh import analysis, cli, verify
+from coinweigh import analysis, cli, strategies, verify
 from coinweigh.analysis import rational_str
 from coinweigh.cli import main
 from coinweigh.model import InternalContractError
@@ -260,7 +260,7 @@ class TestVerify:
         self, capsys, monkeypatch, pool_log
     ):
         # Forked workers inherit the patch and die without a result.
-        monkeypatch.setattr(verify, "_run_range", lambda *args: os._exit(1))
+        monkeypatch.setattr(verify, "_walk", lambda *args: os._exit(1))
         code, _, err = run(capsys, "verify", "--l-max", "6", "--threads", "2")
         assert code == 1
         assert err.startswith("verification failure:")
@@ -273,7 +273,7 @@ class TestVerify:
         def broken(*args):
             raise InternalContractError("planted in a worker")
 
-        monkeypatch.setattr(verify, "_run_range", broken)
+        monkeypatch.setattr(verify, "_walk", broken)
         code, _, err = run(capsys, "verify", "--l-max", "6", "--threads", "2")
         assert code == 1
         assert err == "verification failure: planted in a worker\n"
@@ -283,13 +283,45 @@ class TestVerify:
     def test_wrong_support_is_verification_failure(
         self, capsys, monkeypatch, pool_log
     ):
-        monkeypatch.setitem(verify._CORES, "proposed", lambda n, ask: (1, n))
+        # The step function ends the path of coin 1 of weight 2 at a wrong
+        # leaf; only the walk uses the planted one.
+        advance = verify._advance
+
+        def wrong_leaf(state, o, probe=None):
+            after = advance(state, o, probe)
+            if after == (strategies._FOUND, 1, 1):
+                return (strategies._FOUND, 1, 2)
+            return after
+
+        monkeypatch.setattr(verify, "_advance", wrong_leaf)
         code, out, err = run(capsys, "verify", "--l-max", "3", "--threads", "1")
         assert code == 1
         assert out == ""
         assert err == (
             "verification failure: proposed failed to recover support (1, 1) "
             "of n=2: got (1, 2)\n"
+        )
+        assert pool_log == {"created": 0, "cancelled": []}
+
+    def test_rejected_reading_is_verification_failure(
+        self, capsys, monkeypatch, pool_log
+    ):
+        # The step function rejects the reading 2 of the first weighing, so
+        # the walk never reaches coin 1 of weight 2: one leaf short.
+        advance = verify._advance
+
+        def rejecting(state, o, probe=None):
+            if state == strategies._root(strategies._PROPOSED, 2) and o == 2:
+                return None
+            return advance(state, o, probe)
+
+        monkeypatch.setattr(verify, "_advance", rejecting)
+        code, out, err = run(capsys, "verify", "--l-max", "3", "--threads", "1")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "verification failure: proposed reached 2 leaves of n=2, not the "
+            "3 configurations\n"
         )
         assert pool_log == {"created": 0, "cancelled": []}
 

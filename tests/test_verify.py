@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from coinweigh import verify
+from coinweigh import strategies, verify
 from coinweigh.analysis import (
     nested_closed_forms,
     nested_tables,
@@ -19,6 +19,7 @@ from coinweigh.model import (
     InvalidSizeError,
     TooLargeError,
     config_count,
+    iter_supports,
 )
 from coinweigh.verify import (
     _run_range,
@@ -67,9 +68,9 @@ class TestExhaustiveStats:
 
     @pytest.mark.parametrize("strategy", ["proposed", "nested"])
     def test_accepts_any_size(self, strategy):
-        # Every n = 2..64, powers of two or not: the run recovers every
-        # support (else _run_range raises), visits every configuration and
-        # stays within 2 ceil(log2 n) - 1 weighings.
+        # Every n = 2..64, powers of two or not: every leaf of the walk
+        # replays its path (else the walk raises), the leaves are every
+        # configuration and none takes more than 2 ceil(log2 n) - 1 weighings.
         averages = {}
         for n in range(2, 65):
             stats = exhaustive_stats(n, strategy, threads=1)
@@ -184,27 +185,39 @@ class TestWorkerPool:
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         assert cross_check(4, threads=2).ok
         [pool] = recording_pool
-        # The nested chunks are sent only once the proposed ones are read.
+        # The nested subtrees are sent only once the proposed ones are read,
+        # one strategy per batch, each batch a frontier of at least 2 * 4
+        # states.
         assert pool.sent_when_read == [1, 2]
         assert [
-            {(strategy, lo, hi) for _, strategy, lo, hi in jobs}
+            [(n, strategy, state, path) for n, strategy, state, path in jobs]
             for jobs in pool.batches
         ] == [
-            {(strategy, 136 * k // 8, 136 * (k + 1) // 8) for k in range(8)}
+            [
+                (16, strategy, state, path)
+                for state, path in verify._frontier(
+                    strategies._root(verify._ROOTS[strategy], 16), 8
+                )
+            ]
             for strategy in ("proposed", "nested")
         ]
+        assert all(len(jobs) >= 8 for jobs in pool.batches)
 
     def test_cross_check_failure_sends_no_nested_chunk(
         self, monkeypatch, recording_pool
     ):
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         worker = verify._worker
+        proposed_jobs = []
 
-        def failing(args):
-            _, strategy, lo, _ = args
-            if strategy == "proposed" and lo > 0:
-                raise InternalContractError("planted failure")
-            return worker(args)
+        def failing(job):
+            # Every proposed subtree but the first fails.
+            _, strategy, _, _ = job
+            if strategy == "proposed":
+                proposed_jobs.append(job)
+                if len(proposed_jobs) > 1:
+                    raise InternalContractError("planted failure")
+            return worker(job)
 
         monkeypatch.setattr(verify, "_worker", failing)
         with pytest.raises(InternalContractError, match="^planted failure$"):
@@ -266,6 +279,125 @@ def merge_partials(a, b):
         cell[0] += total
         cell[1] += count
     return a[0] + b[0], a[1] + b[1], max(a[2], b[2]), per_delta
+
+
+def run_range_row(n, strategy):
+    """The whole-range ``_run_range`` partial of n coins, as the fields of
+    the ``StatsRow`` that ``rows_equal`` compares."""
+    count, total, worst, cells = _run_range(n, strategy, 0, config_count(n))
+    per_delta = {
+        delta: (F(dtotal, dcount), dcount)
+        for delta, (dtotal, dcount) in sorted(cells.items())
+    }
+    return count, F(total, count), worst, per_delta
+
+
+def subtree_leaves(state, path):
+    """Every leaf below ``state`` as (support, path), found by branching
+    on every reading 0, 1 or 2 that ``strategies._advance`` accepts."""
+    if state[0] == strategies._FOUND:
+        return [(state[1:], path)]
+    runs = strategies._query(state)
+    leaves = []
+    for o in (0, 1, 2):
+        child = strategies._advance(state, o)
+        if child is not None:
+            leaves += subtree_leaves(child, (runs, o, path))
+    return leaves
+
+
+class TestWalk:
+    SIZES = [*range(2, 70), 100, 255, 256, 257]
+
+    @pytest.mark.parametrize("strategy", ["proposed", "nested"])
+    def test_matches_run_range(self, monkeypatch, strategy):
+        # The walk and the per-configuration runs give the same row at every
+        # size, in one process and on two workers.
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        with worker_pool(2):
+            pooled = [exhaustive_stats(n, strategy) for n in self.SIZES]
+        for n, row in zip(self.SIZES, pooled):
+            single = exhaustive_stats(n, strategy, threads=1)
+            assert rows_equal(single, row), n
+            reference = run_range_row(n, strategy)
+            assert (
+                single.configs, single.average, single.max_weighings, single.per_delta
+            ) == reference, n
+
+    @pytest.mark.parametrize("strategy", ["proposed", "nested"])
+    def test_every_leaf_replays(self, monkeypatch, strategy):
+        # Sizes that the row test above does not walk: with it, every
+        # n <= 128, and the top of the range up to 300.
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        with worker_pool(2):
+            for n in [*range(70, 129), 299, 300]:
+                assert exhaustive_stats(n, strategy).configs == config_count(n)
+
+    @pytest.mark.parametrize("strategy", ["proposed", "nested"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 31, 64, 100])
+    def test_frontier_splits_the_configurations(self, strategy, n):
+        root = strategies._root(verify._ROOTS[strategy], n)
+        assert verify._frontier(root, 1) == [(root, None)]
+        for jobs in (2, 4, 8, 64, 10**6):
+            frontier = verify._frontier(root, jobs)
+            leaves = [
+                leaf for state, path in frontier for leaf in subtree_leaves(state, path)
+            ]
+            # Every configuration exactly once, under one frontier state.
+            assert sorted(support for support, _ in leaves) == sorted(iter_supports(n))
+            everything_a_leaf = all(
+                state[0] == strategies._FOUND for state, _ in frontier
+            )
+            assert len(frontier) >= jobs or everything_a_leaf
+            # Each frontier state is where its path leads from the root.
+            for state, path in frontier:
+                steps = []
+                while path is not None:
+                    runs, o, path = path
+                    steps.append((runs, o))
+                at = root
+                for runs, o in reversed(steps):
+                    assert strategies._query(at) == runs
+                    at = strategies._advance(at, o)
+                assert at == state
+
+    def test_leaf_past_the_last_coin(self, monkeypatch):
+        # Coin n + 1 of weight 2 reads 0 on every weighing, as coin n does,
+        # so only the range check tells the planted leaf from the true one.
+        advance = verify._advance
+
+        def past_n(state, o, probe=None):
+            after = advance(state, o, probe)
+            if after == (strategies._FOUND, 8, 8):
+                return (strategies._FOUND, 9, 9)
+            return after
+
+        monkeypatch.setattr(verify, "_advance", past_n)
+        with pytest.raises(
+            InternalContractError,
+            match=r"^nested failed to recover support \(8, 8\) of n=8: got \(9, 9\)$",
+        ):
+            exhaustive_stats(8, "nested", threads=1)
+
+    def test_leaf_on_readings_no_configuration_gives(self, monkeypatch):
+        # A step function that ends a reading of 3, which no scale gives, at
+        # a leaf: the leaf fails its replay, and no configuration reads its
+        # path.
+        advance = verify._advance
+
+        def lying(state, o, probe=None):
+            if o == 3:
+                return (strategies._FOUND, 1, 2)
+            return advance(state, o, probe)
+
+        monkeypatch.setattr(verify, "_READINGS", (0, 1, 2, 3))
+        monkeypatch.setattr(verify, "_advance", lying)
+        with pytest.raises(
+            InternalContractError,
+            match=r"^proposed reached support \(1, 2\) of n=2 on readings that no "
+            r"configuration gives$",
+        ):
+            exhaustive_stats(2, "proposed", threads=1)
 
 
 class TestRunRange:
