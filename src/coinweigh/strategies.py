@@ -37,7 +37,8 @@ rejected reading.  It never sees the hidden support and never records a
 query: ``ask`` logs each (runs, outcome) pair as the scale answers it.
 The exhaustive verifier follows it another way: it walks the decision
 tree of the same step function, branching on every reading 0, 1 or 2 that
-a state accepts (see ``verify``).  ``run_proposed`` and ``run_nested``
+a state accepts, and checks each edge against ``_shape(state)``, the set of
+supports whose run passes through a state (see ``verify``).  ``run_proposed`` and ``run_nested``
 share one run body, which turns the log and the support into a
 ``Transcript`` of ``model.Subset`` queries and a dense estimate, both
 built by ``model`` (see its docstring).
@@ -89,18 +90,23 @@ class Transcript:
 
 
 # A state of either strategy is a tuple: its kind, which names the procedure
-# it runs, then its regions, each a run [lo, hi), or its support:
-#   _PROPOSED, _NESTED  lo, hi              Π0 on weight 2 on [lo, hi); a
-#                                           1 / 1 split enters Π1 for the
-#                                           halving scheme, Π0 on weight 1
-#                                           on a and b for nested search
-#   _PI1                alo, ahi, blo, bhi  a joint round on a and b
-#   _PI2                alo, ahi, blo, bhi  its tie-break; b is no smaller
-#   _ONE_A              alo, ahi, blo, bhi  Π0 on weight 1 on a, then on b
-#   _ONE_B              blo, bhi, c         Π0 on weight 1 on b; a's coin is c
-#   _FOUND              p, q                a leaf: the recovered support
-# Every state but a leaf asks one weighing; each Π0 state bisects the run in
-# its first two fields.
+# it runs, then its regions, each a run [lo, hi), or its support.  Its set,
+# which ``_shape`` gives, is the supports (p, q) whose run passes through
+# it; X x Y there means one of p, q in X and the other in Y:
+#   kind                fields              procedure          set
+#   _PROPOSED, _NESTED  lo, hi              Π0 on weight 2     p, q in [lo, hi)
+#   _PI1                alo, ahi, blo, bhi  a joint round      a x b
+#   _PI2                alo, ahi, blo, bhi  its tie-break; b   a_low x b_high,
+#                                           is no smaller      a_high x b_low
+#   _ONE_A              alo, ahi, blo, bhi  Π0 on weight 1 on  a x b
+#                                           a, then on b
+#   _ONE_B              blo, bhi, c         Π0 on weight 1 on  {c} x b
+#                                           b; a's coin is c
+#   _FOUND              p, q                a leaf             {(p, q)}
+# A 1 / 1 split of Π0 on weight 2 enters Π1 for the halving scheme, and Π0
+# on weight 1 on a and b for nested search.  Every state but a leaf asks
+# one weighing; each Π0 state bisects the run in its first two fields, and
+# a region's halves are [lo, mid) and [mid, hi) with mid = (lo + hi) // 2.
 _State = tuple[int, ...]
 
 _PROPOSED, _NESTED, _PI1, _PI2, _ONE_A, _ONE_B, _FOUND = range(7)
@@ -133,6 +139,37 @@ def _query(state: _State) -> Runs:
         return _union(alo, (alo + ahi) // 2, bmid, (bmid + bhi) // 2)
     lo = state[1]
     return ((lo, (lo + state[2]) // 2),)
+
+
+def _shape(state: _State) -> tuple[tuple[int, int, int, int], ...]:
+    """The set of supports that ``state`` stands for, as at most two
+    blocks ``(i0, i1, j0, j1)``: a block holds each (p, q) with
+    i0 <= p < i1, j0 <= q < j1 and p <= q."""
+    kind = state[0]
+    if kind <= _NESTED:
+        _, lo, hi = state
+        return ((lo, hi, lo, hi),)
+    if kind == _PI1 or kind == _ONE_A:
+        _, alo, ahi, blo, bhi = state
+        if alo < blo:
+            return ((alo, ahi, blo, bhi),)
+        return ((blo, bhi, alo, ahi),)
+    if kind == _PI2:
+        # The Π1 state that entered this one read 1 on the lower halves of
+        # the same two regions.
+        _, alo, ahi, blo, bhi = state
+        amid = (alo + ahi) // 2
+        bmid = (blo + bhi) // 2
+        if alo < blo:
+            return ((alo, amid, bmid, bhi), (amid, ahi, blo, bmid))
+        return ((bmid, bhi, alo, amid), (blo, bmid, amid, ahi))
+    if kind == _ONE_B:
+        _, blo, bhi, c = state
+        if c < blo:
+            return ((c, c + 1, blo, bhi),)
+        return ((blo, bhi, c, c + 1),)
+    _, p, q = state
+    return ((p, p + 1, q, q + 1),)
 
 
 def _found(c: int, d: int) -> _State:

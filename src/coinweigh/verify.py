@@ -12,26 +12,42 @@ decision tree of the strategy's step function (``strategies._query`` and
 ``strategies._advance``, the same step function the cores follow), so each
 weighing is asked once per node, not once per configuration below it.  At
 each state it branches on every reading 0, 1 or 2 that the state accepts;
-a leaf holds a support, and its path length is that configuration's
-weighing count.  Three checks replace "the run returned (p, q)":
+a leaf holds a support, and its depth is that configuration's weighing
+count.  Each state stands for a set of supports, ``strategies._shape``:
+at most two blocks (i0, i1, j0, j1), each the supports (p, q) with
+i0 <= p < i1, j0 <= q < j1 and p <= q.  The root's set is every support
+1 <= p <= q <= n, whatever ``_shape`` says of it.  Instead of "the run
+returned (p, q)", the walk checks every edge, from a parent that weighs
+``runs`` through a reading o to a child:
 
-* every leaf's support (p, q) satisfies 1 <= p <= q <= n;
-* every leaf replays its path: ``model.weigh_runs``, the scale that a
-  core's ``ask`` weighs with, gives that support every reading on the path;
-* after the merge, the leaves number n + C(n, 2).
+* each block of the child lies inside one block of the parent, each of
+  its two runs lies wholly inside or wholly outside each run of ``runs``,
+  and ``model.weigh_runs``, the scale that a core's ``ask`` weighs with,
+  gives o at its corner (i0, j0), so every support in the block reads o;
+* a leaf child's support (p, q) lies inside a block of the parent, has
+  p <= q, and reads o;
 
-Why that is enough: two leaves part at a node where they read different
-outcomes of the same runs, so no support can replay both paths, and the
-leaves' supports are distinct configurations.  With the right count they
-are all of them.  Run on any configuration c, a core asks the root's runs
-and reads what c's leaf path reads there, and so on down: the run follows
-that path and returns c, after as many weighings as the path is long.
+and after the merge, that the leaves number n + C(n, 2).
+
+Why that is enough: a leaf's support lies in its parent's set and reads
+the parent's reading, and so does every support in the set of a state that
+is not a leaf.  By induction up the path, each leaf's support lies in the
+root's set and reads every reading on its path: the whole path is
+replayed, one edge at a time.  Two leaves part at a node where they read
+different outcomes of the same runs, so their supports are distinct
+configurations, and with the right count they are all of them.  Run on any
+configuration c, a core asks the root's runs and reads what c's leaf path
+reads there, and so on down: the run follows that path and returns c,
+after as many weighings as the path is long.  The argument does not assume
+that ``_shape`` is exact, only that the root's set is right: a wrong set
+can make a check fail and the walk raise, but never let a wrong tree pass.
+The tests check that ``_shape`` is exact.
 
 Work spreads over processes by subtrees.  With more than one worker, the
-tree is expanded one level at a time until its frontier holds at least
-four states per worker, and each job is one frontier state with the path
-that reaches it, which the replay needs; with one worker the one job is
-the root.  Partial records hold integer sums, which merge exactly in any
+tree is expanded one level at a time, each edge checked as the walk checks
+it, until its frontier holds at least four states per worker, and each job
+is one frontier state with its depth; with one worker the one job is the
+root.  Partial records hold integer sums, which merge exactly in any
 order, and the mean only becomes a rational at the end.
 ``_run_range``, which runs the cores on a range of configurations, is kept
 as the per-configuration reference.
@@ -78,6 +94,7 @@ from .strategies import (
     _proposed_core,
     _query,
     _root,
+    _shape,
 )
 
 __all__ = [
@@ -257,107 +274,185 @@ def _run_range(n: int, strategy: str, lo: int, hi: int) -> _Partial:
 # total weight of 2.
 _READINGS = (0, 1, 2)
 
-# The weighings from the root to a state, last first: (runs, reading, rest),
-# with None for the root.
-_Path = tuple[Runs, int, "_Path"] | None
+_Blocks = tuple[tuple[int, int, int, int], ...]
 
 
-def _frontier(state: _State, jobs: int) -> list[tuple[_State, _Path]]:
-    """The states one level of the tree below ``state`` at a time, each
-    with its path, until there are at least ``jobs`` of them or every one
-    is a leaf.  Their subtrees split the tree's leaves between them."""
-    level = [(state, None)]
-    while len(level) < jobs:
-        below = []
-        for node, path in level:
-            if node[0] == _FOUND:
-                below.append((node, path))
-                continue
-            runs = _query(node)
-            for o in _READINGS:
-                child = _advance(node, o)
-                if child is not None:
-                    below.append((child, (runs, o, path)))
-        if len(below) == len(level):
-            break
-        level = below
-    return level
+def _top(n: int) -> _Blocks:
+    # The root's set: every support 1 <= p <= q <= n, whatever ``_shape``
+    # says of the root.
+    return ((1, n + 1, 1, n + 1),)
 
 
-def _failed_leaf(n: int, strategy: str, leaf: tuple[int, int], path: _Path) -> str:
-    # The failure line of a leaf that does not replay its path: the first
-    # configuration whose run reads that path, and the leaf it got.
-    weighed = []
-    while path is not None:
-        runs, o, path = path
-        weighed.append((runs, o))
+def _inside(p: int, q: int, blocks: _Blocks) -> bool:
+    for i0, i1, j0, j1 in blocks:
+        if i0 <= p < i1 and j0 <= q < j1:
+            return True
+    return False
+
+
+def _fits(blocks: _Blocks, runs: Runs, o: int, shape: _Blocks) -> bool:
+    """Whether a child's set ``shape`` passes the checks of its edge from
+    a state whose set is ``blocks``, that weighs ``runs`` and reads ``o``:
+    each block of ``shape`` lies inside one of ``blocks``, each of its two
+    runs lies wholly inside or wholly outside each run of ``runs``, and its
+    corner (i0, j0) reads ``o``."""
+    for i0, i1, j0, j1 in shape:
+        for a0, a1, b0, b1 in blocks:
+            if a0 <= i0 and i1 <= a1 and b0 <= j0 and j1 <= b1:
+                break
+        else:
+            return False
+        for lo, hi in runs:
+            if not (lo <= i0 and i1 <= hi or i1 <= lo or hi <= i0):
+                return False
+            if not (lo <= j0 and j1 <= hi or j1 <= lo or hi <= j0):
+                return False
+        if weigh_runs(i0, j0, runs) != o:
+            return False
+    return True
+
+
+def _reach(state: _State | None, p: int, q: int) -> tuple[int, ...] | None:
+    # The support where the run of (p, q) from ``state`` ends, or None if a
+    # state on the way rejects its reading.
+    while state is not None and state[0] != _FOUND:
+        state = _advance(state, weigh_runs(p, q, _query(state)))
+    return None if state is None else state[1:]
+
+
+def _failure(
+    n: int, strategy: str, blocks: _Blocks, runs: Runs, o: int, child: _State
+) -> str:
+    # The failure line of an edge that fails its checks: the first
+    # configuration in the parent's set that reads ``o``, and where its run
+    # ends below ``child``.  When none reads ``o``, the line names where
+    # the run of the child's first corner ends instead.
     for p, q in iter_supports(n):
-        if all(weigh_runs(p, q, runs) == o for runs, o in weighed):
+        if _inside(p, q, blocks) and weigh_runs(p, q, runs) == o:
             return (
                 f"{strategy} failed to recover support {(p, q)} of n={n}: "
-                f"got {leaf}"
+                f"got {_reach(child, p, q)}"
             )
+    i0, _, j0, _ = _shape(child)[0]
     return (
-        f"{strategy} reached support {leaf} of n={n} on readings that no "
-        "configuration gives"
+        f"{strategy} reached support {_reach(child, i0, j0)} of n={n} on "
+        "readings that no configuration gives"
     )
 
 
-def _walk(n: int, strategy: str, state: _State, path: _Path) -> _Partial:
-    """Walk the subtree below ``state``, reached by ``path``; return the
-    exact partial sums of its leaves, as ``_run_range`` does for a range.
+def _children(
+    n: int, strategy: str, state: _State, blocks: _Blocks
+) -> list[tuple[_State, _Blocks | None]]:
+    """The children of ``state``, whose set is ``blocks``, each with its own
+    set (None for a leaf), once each edge has passed its checks; else
+    ``InternalContractError``."""
+    runs = _query(state)
+    children = []
+    for o in _READINGS:
+        child = _advance(state, o)
+        if child is None:
+            continue
+        if child[0] == _FOUND:
+            # A leaf's support is ordered, lies in the parent's set and
+            # reads ``o``.
+            _, p, q = child
+            ok = p <= q and _inside(p, q, blocks) and weigh_runs(p, q, runs) == o
+            shape = None
+        else:
+            shape = _shape(child)
+            ok = _fits(blocks, runs, o, shape)
+        if not ok:
+            raise InternalContractError(_failure(n, strategy, blocks, runs, o, child))
+        children.append((child, shape))
+    return children
 
-    The walk branches on every reading 0, 1 or 2 that a state accepts.
-    Each leaf's support must lie in 1..n and must give, through
-    ``model.weigh_runs``, every reading on its path; else the walk raises
-    ``InternalContractError``.  A leaf's path length is its weighing count.
+
+def _frontier(n: int, strategy: str, jobs: int) -> list[tuple[_State, int]]:
+    """The states one level of the tree below the root at a time, each
+    with its depth, until there are at least ``jobs`` of them or every one
+    is a leaf.  Their subtrees split the tree's leaves between them.  Each
+    edge on the way is checked as ``_walk`` checks it."""
+    level = [(_root(_ROOTS[strategy], n), _top(n), 0)]
+    while len(level) < jobs:
+        below = []
+        for state, blocks, depth in level:
+            if blocks is None:
+                below.append((state, blocks, depth))
+                continue
+            for child, shape in _children(n, strategy, state, blocks):
+                below.append((child, shape, depth + 1))
+        if len(below) == len(level):
+            break
+        level = below
+    return [(state, depth) for state, _, depth in level]
+
+
+def _walk(n: int, strategy: str, state: _State, depth: int) -> _Partial:
+    """Walk the subtree below ``state``, at ``depth`` weighings from the
+    root; return the exact partial sums of its leaves, as ``_run_range``
+    does for a range.
+
+    The walk branches on every reading 0, 1 or 2 that a state accepts, and
+    checks each edge below ``state`` as ``_children`` does (see the module
+    docstring); a failed check raises ``InternalContractError``.  The edge
+    into ``state`` is ``_frontier``'s to check.  A leaf's depth is its
+    weighing count.
     """
+    if state[0] == _FOUND:
+        return 1, depth, depth, {state[2] - state[1]: [depth, 1]}
     count = 0
     total = 0
     worst = 0
     per_delta: dict[int, list[int]] = {}
-    depth = 0
-    link = path
-    while link is not None:
-        link = link[2]
-        depth += 1
-    stack = [(state, path, depth)]
+    stack = [(state, _shape(state) if depth else _top(n), depth)]
     pop = stack.pop
     push = stack.append
     while stack:
-        state, path, depth = pop()
-        if state[0] != _FOUND:
-            # The children as ``_frontier`` makes them, written out here
-            # because this loop runs once per node.
-            runs = _query(state)
-            depth += 1
-            for o in _READINGS:
-                child = _advance(state, o)
-                if child is not None:
-                    push((child, (runs, o, path), depth))
-            continue
-        _, p, q = state
-        if not 1 <= p <= q <= n:
-            raise InternalContractError(_failed_leaf(n, strategy, (p, q), path))
-        link = path
-        while link is not None:
-            runs, o, link = link
-            if weigh_runs(p, q, runs) != o:
-                raise InternalContractError(_failed_leaf(n, strategy, (p, q), path))
-        count += 1
-        total += depth
-        if depth > worst:
-            worst = depth
-        cell = per_delta.get(q - p)
-        if cell is None:
-            per_delta[q - p] = [depth, 1]
-        else:
-            cell[0] += depth
-            cell[1] += 1
+        state, blocks, depth = pop()
+        # ``_children``, written out here because this loop runs once per
+        # node: a leaf is counted where it is found, and never pushed.
+        runs = _query(state)
+        depth += 1
+        for o in _READINGS:
+            child = _advance(state, o)
+            if child is None:
+                continue
+            if child[0] != _FOUND:
+                shape = _shape(child)
+                if not _fits(blocks, runs, o, shape):
+                    raise InternalContractError(
+                        _failure(n, strategy, blocks, runs, o, child)
+                    )
+                push((child, shape, depth))
+                continue
+            # A leaf's edge, as ``_children`` checks it.
+            _, p, q = child
+            for i0, i1, j0, j1 in blocks:
+                if (
+                    i0 <= p < i1
+                    and j0 <= q < j1
+                    and p <= q
+                    and weigh_runs(p, q, runs) == o
+                ):
+                    break
+            else:
+                raise InternalContractError(
+                    _failure(n, strategy, blocks, runs, o, child)
+                )
+            count += 1
+            total += depth
+            if depth > worst:
+                worst = depth
+            cell = per_delta.get(q - p)
+            if cell is None:
+                per_delta[q - p] = [depth, 1]
+            else:
+                cell[0] += depth
+                cell[1] += 1
     return count, total, worst, per_delta
 
 
-def _worker(job: tuple[int, str, _State, _Path]) -> _Partial:
+def _worker(job: tuple[int, str, _State, int]) -> _Partial:
     return _walk(*job)
 
 
@@ -367,9 +462,9 @@ def exhaustive_stats(
     """Earn ``strategy``'s statistics on every configuration of n coins.
 
     The walk of the strategy's decision tree (see the module docstring)
-    visits one leaf per configuration, whose path length is that
-    configuration's weighing count, and raises ``InternalContractError``
-    when a leaf fails its replay or the leaves are not n + C(n, 2).
+    visits one leaf per configuration, whose depth is that configuration's
+    weighing count, and raises ``InternalContractError`` when an edge fails
+    its checks or the leaves are not n + C(n, 2).
     Both strategies take every n that passes ``model.require_enumerable``
     (any 2 <= n <= 2**ENUMERATION_CAP_L, else ``TooLargeError`` before any
     worker starts).  ``l`` is log2 n for a power of two and None otherwise.
@@ -395,9 +490,8 @@ def exhaustive_stats(
     start = time.perf_counter()
     with worker_pool(threads):
         workers, executor = _open_pool
-        root = _root(_ROOTS[strategy], n)
-        frontier = _frontier(root, 1 if executor is None else workers * 4)
-        jobs = [(n, strategy, state, path) for state, path in frontier]
+        frontier = _frontier(n, strategy, 1 if executor is None else workers * 4)
+        jobs = [(n, strategy, state, depth) for state, depth in frontier]
         partials = list((map if executor is None else executor.map)(_worker, jobs))
     runtime = time.perf_counter() - start
 

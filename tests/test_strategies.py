@@ -355,6 +355,63 @@ class TestTranscriptSubsets:
             model._logged_subsets(4, [(((1, 2),), 1), (runs, 0)])
 
 
+def shape_points(state):
+    """Every support in ``strategies._shape(state)``'s blocks, in a list,
+    so that a support in two blocks shows twice."""
+    return [
+        (p, q)
+        for i0, i1, j0, j1 in strategies._shape(state)
+        for p in range(i0, i1)
+        for q in range(max(j0, p), j1)
+    ]
+
+
+class TestShape:
+    @pytest.mark.parametrize("kind", [strategies._PROPOSED, strategies._NESTED])
+    def test_set_is_the_supports_whose_run_passes(self, monkeypatch, kind):
+        # At every n <= 64, each state of the tree stands for exactly the
+        # supports whose ``_follow`` run passes through it: the sets of a
+        # state's children partition its own set.
+        advance = strategies._advance
+        visited = []
+
+        def recording(state, o, probe=None):
+            visited.append(state)
+            return advance(state, o, probe)
+
+        monkeypatch.setattr(strategies, "_advance", recording)
+        for n in range(2, 65):
+            root = strategies._root(kind, n)
+            through = {}
+            for support in iter_supports(n):
+                visited.clear()
+                found = strategies._follow(root, partial(weigh_runs, *support))
+                assert found == support
+                for state in (*visited, (strategies._FOUND, *found)):
+                    through.setdefault(state, set()).add(support)
+            stack = [root]
+            while stack:
+                state = stack.pop()
+                points = shape_points(state)
+                assert len(points) == len(set(points)), (n, state)
+                assert set(points) == through.pop(state, set()), (n, state)
+                if state[0] != strategies._FOUND:
+                    below = (advance(state, o) for o in (0, 1, 2))
+                    stack += [child for child in below if child is not None]
+            # No run passed through a state outside the tree.
+            assert through == {}
+
+    def test_blocks_are_ordered(self):
+        # Π2 with a above b, and Π0 on weight 1 on b with a's coin above
+        # it, give blocks whose first run lies below their second.
+        assert strategies._shape((strategies._PI2, 9, 13, 1, 9)) == (
+            (5, 9, 9, 11),
+            (1, 5, 11, 13),
+        )
+        assert strategies._shape((strategies._ONE_B, 1, 5, 7)) == ((1, 5, 7, 8),)
+        assert strategies._shape((strategies._FOUND, 3, 3)) == ((3, 4, 3, 4),)
+
+
 # The recursive cores the loop cores replaced, with their ``_union``, kept as
 # the reference they must match: Π0, Π1 and Π2 as mutually recursive
 # closures, and nested bisection as one recursive closure.  Their logic and

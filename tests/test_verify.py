@@ -4,6 +4,7 @@ cross-checks, and the least-squares fit helper."""
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,8 +69,8 @@ class TestExhaustiveStats:
 
     @pytest.mark.parametrize("strategy", ["proposed", "nested"])
     def test_accepts_any_size(self, strategy):
-        # Every n = 2..64, powers of two or not: every leaf of the walk
-        # replays its path (else the walk raises), the leaves are every
+        # Every n = 2..64, powers of two or not: every edge of the walk
+        # passes its checks (else the walk raises), the leaves are every
         # configuration and none takes more than 2 ceil(log2 n) - 1 weighings.
         averages = {}
         for n in range(2, 65):
@@ -190,14 +191,12 @@ class TestWorkerPool:
         # states.
         assert pool.sent_when_read == [1, 2]
         assert [
-            [(n, strategy, state, path) for n, strategy, state, path in jobs]
+            [(n, strategy, state, depth) for n, strategy, state, depth in jobs]
             for jobs in pool.batches
         ] == [
             [
-                (16, strategy, state, path)
-                for state, path in verify._frontier(
-                    strategies._root(verify._ROOTS[strategy], 16), 8
-                )
+                (16, strategy, state, depth)
+                for state, depth in verify._frontier(16, strategy, 8)
             ]
             for strategy in ("proposed", "nested")
         ]
@@ -292,18 +291,20 @@ def run_range_row(n, strategy):
     return count, F(total, count), worst, per_delta
 
 
-def subtree_leaves(state, path):
-    """Every leaf below ``state`` as (support, path), found by branching
-    on every reading 0, 1 or 2 that ``strategies._advance`` accepts."""
+def children(state):
+    """The states below ``state``, one for each reading 0, 1 or 2 that
+    ``strategies._advance`` accepts."""
     if state[0] == strategies._FOUND:
-        return [(state[1:], path)]
-    runs = strategies._query(state)
-    leaves = []
-    for o in (0, 1, 2):
-        child = strategies._advance(state, o)
-        if child is not None:
-            leaves += subtree_leaves(child, (runs, o, path))
-    return leaves
+        return []
+    below = (strategies._advance(state, o) for o in (0, 1, 2))
+    return [child for child in below if child is not None]
+
+
+def subtree_leaves(state):
+    """The support of every leaf below ``state``."""
+    if state[0] == strategies._FOUND:
+        return [state[1:]]
+    return [leaf for child in children(state) for leaf in subtree_leaves(child)]
 
 
 class TestWalk:
@@ -325,9 +326,11 @@ class TestWalk:
             ) == reference, n
 
     @pytest.mark.parametrize("strategy", ["proposed", "nested"])
-    def test_every_leaf_replays(self, monkeypatch, strategy):
+    def test_every_edge_passes_its_checks(self, monkeypatch, strategy):
         # Sizes that the row test above does not walk: with it, every
-        # n <= 128, and the top of the range up to 300.
+        # n <= 128, and the top of the range up to 300.  Every edge passes
+        # its checks (else the walk raises) and the leaves are every
+        # configuration.
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         with worker_pool(2):
             for n in [*range(70, 129), 299, 300]:
@@ -337,33 +340,30 @@ class TestWalk:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 31, 64, 100])
     def test_frontier_splits_the_configurations(self, strategy, n):
         root = strategies._root(verify._ROOTS[strategy], n)
-        assert verify._frontier(root, 1) == [(root, None)]
+        assert verify._frontier(n, strategy, 1) == [(root, 0)]
+        # The states reached from the root in exactly d steps, for each d.
+        reached = [{root}]
         for jobs in (2, 4, 8, 64, 10**6):
-            frontier = verify._frontier(root, jobs)
-            leaves = [
-                leaf for state, path in frontier for leaf in subtree_leaves(state, path)
-            ]
+            frontier = verify._frontier(n, strategy, jobs)
+            leaves = [leaf for state, _ in frontier for leaf in subtree_leaves(state)]
             # Every configuration exactly once, under one frontier state.
-            assert sorted(support for support, _ in leaves) == sorted(iter_supports(n))
+            assert sorted(leaves) == sorted(iter_supports(n))
             everything_a_leaf = all(
                 state[0] == strategies._FOUND for state, _ in frontier
             )
             assert len(frontier) >= jobs or everything_a_leaf
-            # Each frontier state is where its path leads from the root.
-            for state, path in frontier:
-                steps = []
-                while path is not None:
-                    runs, o, path = path
-                    steps.append((runs, o))
-                at = root
-                for runs, o in reversed(steps):
-                    assert strategies._query(at) == runs
-                    at = strategies._advance(at, o)
-                assert at == state
+            # Each frontier state is reached from the root in ``depth`` steps.
+            for state, depth in frontier:
+                while len(reached) <= depth:
+                    reached.append(
+                        {child for at in reached[-1] for child in children(at)}
+                    )
+                assert state in reached[depth]
 
     def test_leaf_past_the_last_coin(self, monkeypatch):
         # Coin n + 1 of weight 2 reads 0 on every weighing, as coin n does,
-        # so only the range check tells the planted leaf from the true one.
+        # so only the leaf's containment in its parent's set, Π0 on weight 2
+        # on [7, 9), tells the planted leaf from the true one.
         advance = verify._advance
 
         def past_n(state, o, probe=None):
@@ -381,8 +381,8 @@ class TestWalk:
 
     def test_leaf_on_readings_no_configuration_gives(self, monkeypatch):
         # A step function that ends a reading of 3, which no scale gives, at
-        # a leaf: the leaf fails its replay, and no configuration reads its
-        # path.
+        # a leaf: the leaf does not read 3, and no configuration in its
+        # parent's set does.
         advance = verify._advance
 
         def lying(state, o, probe=None):
@@ -398,6 +398,125 @@ class TestWalk:
             r"configuration gives$",
         ):
             exhaustive_stats(2, "proposed", threads=1)
+
+
+# Planted faults: each takes the true ``_advance`` and returns one that
+# builds a wrong tree.  ``exhaustive_stats`` must raise on every one.
+FOUND = strategies._FOUND
+
+
+def swapped_pi1(advance, n):
+    # Readings 0 and 2 swapped at each Π1 state whose regions both have at
+    # least four coins.  Each moved child is a Π1 state on the other
+    # halves; only its corner reading tells it from the true one.
+    def planted(state, o, probe=None):
+        if (
+            state[0] == strategies._PI1
+            and o != 1
+            and min(state[2] - state[1], state[4] - state[3]) >= 4
+        ):
+            o = 2 - o
+        return advance(state, o, probe)
+
+    return planted
+
+
+def swapped_pi2(advance, n):
+    # Readings 1 and 2 swapped at each Π2 state whose b has quarters: b's
+    # top two quarters trade places.
+    def planted(state, o, probe=None):
+        if state[0] == strategies._PI2 and o != 0 and state[4] - state[3] >= 4:
+            o = 3 - o
+        return advance(state, o, probe)
+
+    return planted
+
+
+def duplicated_subtree(advance, n):
+    # Reading 0 of every Π1 state leads where reading 2 does.
+    def planted(state, o, probe=None):
+        if state[0] == strategies._PI1 and o == 0:
+            o = 2
+        return advance(state, o, probe)
+
+    return planted
+
+
+def unordered_leaf(advance, n):
+    # Where Π0 on weight 2 splits its last two coins 1 / 1, the leaf names
+    # its support as (q, p).  The scale reads the same either way, and the
+    # parent's triangle holds both orders: only p <= q tells them apart.
+    def planted(state, o, probe=None):
+        after = advance(state, o, probe)
+        if state[0] <= strategies._NESTED and o == 1 and after[0] == FOUND:
+            return (FOUND, after[2], after[1])
+        return after
+
+    return planted
+
+
+def child_outside_parent(advance, n):
+    # Π0 on weight 2 on the last two coins, [n - 1, n + 1), moves to
+    # [n + 1, n + 3): it reads 0 and its runs miss the query, as the true
+    # one does, and its subtree holds three leaves, as the true one does.
+    def planted(state, o, probe=None):
+        after = advance(state, o, probe)
+        if after == (strategies._NESTED, n - 1, n + 1):
+            return (strategies._NESTED, n + 1, n + 3)
+        return after
+
+    return planted
+
+
+def straddling_child(advance, n):
+    # Where Π0 on weight 2 has an odd run [lo, hi), its 1 / 1 split enters
+    # Π1 at mid + 1 instead of mid.  The regions, of m + 1 and m coins in
+    # place of m and m + 1, hold as many pairs, and a's first coin reads 1;
+    # only a's run, across the query [lo, mid), tells the child is wrong.
+    def planted(state, o, probe=None):
+        if state[0] == strategies._PROPOSED and o == 1 and (state[2] - state[1]) % 2:
+            _, lo, hi = state
+            mid = (lo + hi) // 2 + 1
+            return strategies._joint(lo, mid, mid, hi, probe)
+        return advance(state, o, probe)
+
+    return planted
+
+
+class TestPlantedFaults:
+    # Each fault with the line that one worker raises, where the walk takes
+    # the lowest readings last; two workers meet the faults in another
+    # order.
+    FAULTS = [
+        (swapped_pi1, 64, "proposed", (3, 7), (2, 6)),
+        (swapped_pi2, 64, "proposed", (1, 8), (1, 7)),
+        (duplicated_subtree, 32, "proposed", (2, 4), (1, 3)),
+        (unordered_leaf, 16, "nested", (1, 2), (2, 1)),
+        (child_outside_parent, 64, "nested", (63, 63), (66, 66)),
+        (straddling_child, 40, "proposed", (1, 3), (1, 5)),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "fault, n, strategy, support, got",
+        FAULTS,
+        ids=[fault.__name__ for fault, *_ in FAULTS],
+    )
+    def test_raises(self, monkeypatch, workers, fault, n, strategy, support, got):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(verify, "_advance", fault(verify._advance, n))
+        if workers == 1:
+            line = re.escape(
+                f"{strategy} failed to recover support {support} of n={n}: "
+                f"got {got}"
+            )
+        else:
+            line = (
+                rf"{strategy} failed to recover support \(\d+, \d+\) of n={n}: "
+                r"got \(\d+, \d+\)"
+            )
+        with pytest.raises(InternalContractError, match=f"^{line}$"):
+            exhaustive_stats(n, strategy, threads=workers)
 
 
 class TestRunRange:
