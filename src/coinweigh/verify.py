@@ -43,21 +43,34 @@ that ``_shape`` is exact, only that the root's set is right: a wrong set
 can make a check fail and the walk raise, but never let a wrong tree pass.
 The tests check that ``_shape`` is exact.
 
-Work spreads over processes by subtrees.  With more than one worker, the
-tree is expanded one level at a time, each edge checked as the walk checks
-it, until its frontier holds at least four states per worker, and each job
-is one frontier state with its depth; with one worker the one job is the
-root.  Partial records hold integer sums, which merge exactly in any
-order, and the mean only becomes a rational at the end.
-``_run_range``, which runs the cores on a range of configurations, is kept
-as the per-configuration reference.
+``exhaustive_stats`` checks the root's edges itself and then walks each
+child's subtree, except where the child is the root of a size already
+walked in the same ``worker_pool`` block.  The root (kind, 1, n + 1) of
+n >= 4 coins reads 2 into (kind, 1, n//2 + 1), the root of n//2 coins,
+and ``_shape`` gives that child the set ``_top(n//2)``, the one the walk
+of n//2 starts from; so every edge and check below it is exactly that
+walk.  Its partial, kept once its leaves passed the count check, is added
+one weighing deeper instead.  The kept partials die with the block, so a
+call outside any block walks its whole tree.
+
+Work spreads over processes by subtrees.  A size walks the children left
+to walk in the calling process, in the order one walk of the root pops
+them, when it has one worker or when their subtrees hold fewer than
+``_POOL_MIN_CONFIGS`` configurations.  Otherwise they are expanded one
+level at a time, each edge checked as the walk checks it, until the
+frontier holds at least four states per worker, and each job is one
+frontier state with its depth.  Partial records hold integer sums, which
+merge exactly in any order, and the mean only becomes a rational at the
+end.  ``_run_range``, which runs the cores on a range of configurations,
+is kept as the per-configuration reference.
 
 A CLI run opens one ``worker_pool`` around all of its sizes, and every
-``exhaustive_stats`` call inside it sends its jobs to that one pool; a
-call outside any ``worker_pool`` opens a pool for itself.  ``cross_check``
-computes its analytic side first and then runs the strategies in turn, so
-a failed proposed walk returns before any nested job is sent.  The pool
-never outlives the block that opened it.
+``exhaustive_stats`` call inside it sends its jobs to that one pool and
+reuses the sizes walked before it; a call outside any ``worker_pool``
+opens a pool for itself.  ``cross_check`` computes its analytic side first
+and then runs the strategies in turn, so a failed proposed walk returns
+before any nested job is sent.  The pool never outlives the block that
+opened it.
 """
 
 from __future__ import annotations
@@ -202,17 +215,31 @@ def _resolve_threads(threads: int | None) -> int:
 _Partial = tuple[int, int, int, dict[int, list[int]]]
 
 
-# The open ``worker_pool``: (workers, executor), no executor for one worker.
-_open_pool: tuple[int, ProcessPoolExecutor | None] | None = None
+# The open ``worker_pool``: (workers, executor, kept), no executor for one
+# worker; ``kept`` maps the root state of each size walked in the block to
+# its partial.
+_open_pool: (
+    tuple[int, ProcessPoolExecutor | None, dict[_State, _Partial]] | None
+) = None
+
+# A size whose walked part holds fewer configurations than this is walked
+# in the calling process, not sent to the pool.  With n//2 kept, the part
+# is 6,176 configurations at n = 128 and 24,640 at n = 256; whole
+# `verify --l-max 8 --threads 2` runs on two CPUs took as long with this
+# anywhere from 2,048 to 16,384, and a run up to n = 128 starts no process.
+_POOL_MIN_CONFIGS = 16384
 
 
 @contextmanager
 def worker_pool(threads: int | None = None) -> Iterator[None]:
-    """Share one worker pool among every exhaustive run inside the block.
+    """Share one worker pool, and the sizes already walked, among every
+    exhaustive run inside the block.
 
     The worker count is resolved once, as for ``exhaustive_stats``; with one
-    worker no process starts.  A block opened inside another checks
-    ``threads`` and joins the outer pool.  On leaving the block the pool is
+    worker no process starts, and with more the workers start with the
+    first job that a size sends to the pool.  A block opened inside another
+    checks ``threads`` and joins the outer pool.  On leaving the block the
+    kept sizes are dropped and the pool is
     shut down, and when an exception leaves it (a failed check, a broken
     pool, Ctrl-C) its queued jobs are cancelled first.  The pool never
     outlives the block, so its workers never run code older than the call
@@ -224,7 +251,7 @@ def worker_pool(threads: int | None = None) -> Iterator[None]:
         yield
         return
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    _open_pool = workers, executor
+    _open_pool = workers, executor, {}
     finished = False
     try:
         yield
@@ -367,12 +394,19 @@ def _children(
     return children
 
 
-def _frontier(n: int, strategy: str, jobs: int) -> list[tuple[_State, int]]:
-    """The states one level of the tree below the root at a time, each
-    with its depth, until there are at least ``jobs`` of them or every one
-    is a leaf.  Their subtrees split the tree's leaves between them.  Each
-    edge on the way is checked as ``_walk`` checks it."""
-    level = [(_root(_ROOTS[strategy], n), _top(n), 0)]
+def _frontier(
+    n: int,
+    strategy: str,
+    jobs: int,
+    level: list[tuple[_State, _Blocks | None, int]] | None = None,
+) -> list[tuple[_State, int]]:
+    """The states one level of the tree below ``level`` (by default the
+    root) at a time, each with its depth, until there are at least ``jobs``
+    of them or every one is a leaf.  Their subtrees split the leaves below
+    ``level`` between them.  Each edge on the way is checked as ``_walk``
+    checks it."""
+    if level is None:
+        level = [(_root(_ROOTS[strategy], n), _top(n), 0)]
     while len(level) < jobs:
         below = []
         for state, blocks, depth in level:
@@ -395,8 +429,8 @@ def _walk(n: int, strategy: str, state: _State, depth: int) -> _Partial:
     The walk branches on every reading 0, 1 or 2 that a state accepts, and
     checks each edge below ``state`` as ``_children`` does (see the module
     docstring); a failed check raises ``InternalContractError``.  The edge
-    into ``state`` is ``_frontier``'s to check.  A leaf's depth is its
-    weighing count.
+    into ``state``, which is never the root, is ``_children``'s to check.
+    A leaf's depth is its weighing count.
     """
     if state[0] == _FOUND:
         return 1, depth, depth, {state[2] - state[1]: [depth, 1]}
@@ -404,7 +438,7 @@ def _walk(n: int, strategy: str, state: _State, depth: int) -> _Partial:
     total = 0
     worst = 0
     per_delta: dict[int, list[int]] = {}
-    stack = [(state, _shape(state) if depth else _top(n), depth)]
+    stack = [(state, _shape(state), depth)]
     pop = stack.pop
     push = stack.append
     while stack:
@@ -472,15 +506,20 @@ def exhaustive_stats(
     independent of partitioning.
 
     ``threads`` defaults to CW_THREADS or the usable CPUs, and is clamped to
-    the usable CPUs.  With one worker the whole tree is one job; with more,
-    each job is the subtree below one state of a frontier of at least four
-    states per worker.  Inside an open ``worker_pool`` (a CLI run opens one
-    for all its sizes and both strategies) the jobs run on that pool with
-    its worker count; outside one, a pool is opened for this call.
+    the usable CPUs.  Inside an open ``worker_pool`` (a CLI run opens one
+    for all its sizes and both strategies) the call uses that pool with its
+    worker count, and adds the kept partial of n//2 coins, if that size was
+    walked in the block, in place of walking it again; outside one, a pool
+    is opened for this call.  The root's children left to walk are walked
+    in this process with one worker, or when they hold fewer than
+    ``_POOL_MIN_CONFIGS`` configurations; else each job is the subtree
+    below one state of a frontier of at least four states per worker.
 
-    ``runtime_s`` is the wall time this call waited for its jobs, and
-    includes pool start-up only when the call opened its own pool.  It is
-    reported, never part of any contract.
+    ``runtime_s`` is the wall time of this call.  The pool's workers start
+    with its first job, so it includes their start-up when this call is the
+    first in its block to send jobs to the pool: in a CLI run, the first
+    size big enough for the pool.  It is reported, never part of any
+    contract.
     """
     if not isinstance(strategy, str) or strategy not in _CORES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -489,10 +528,32 @@ def exhaustive_stats(
 
     start = time.perf_counter()
     with worker_pool(threads):
-        workers, executor = _open_pool
-        frontier = _frontier(n, strategy, 1 if executor is None else workers * 4)
-        jobs = [(n, strategy, state, depth) for state, depth in frontier]
-        partials = list((map if executor is None else executor.map)(_worker, jobs))
+        workers, executor, kept = _open_pool
+        root = _root(_ROOTS[strategy], n)
+        partials = []
+        level = []
+        for child, shape in _children(n, strategy, root, _top(n)):
+            part = kept.get(child)
+            if part is None:
+                level.append((child, shape, 1))
+                continue
+            # A size walked in this block, one weighing deeper.
+            count, total, worst, cells = part
+            shifted = {
+                delta: [dtotal + dcount, dcount]
+                for delta, (dtotal, dcount) in cells.items()
+            }
+            partials.append((count, total + count, worst + 1, shifted))
+        if executor is None or (
+            config_count(n) - sum(part[0] for part in partials) < _POOL_MIN_CONFIGS
+        ):
+            # In the order one walk of the root pops them: reading 2 first.
+            for state, _, depth in reversed(level):
+                partials.append(_walk(n, strategy, state, depth))
+        else:
+            frontier = _frontier(n, strategy, workers * 4, level)
+            jobs = [(n, strategy, state, depth) for state, depth in frontier]
+            partials += executor.map(_worker, jobs)
     runtime = time.perf_counter() - start
 
     count = sum(part[0] for part in partials)
@@ -509,6 +570,7 @@ def exhaustive_stats(
             cell = merged.setdefault(delta, [0, 0])
             cell[0] += dtotal
             cell[1] += dcount
+    kept[root] = count, total, worst, merged
     per_delta = {
         delta: (Fraction(dtotal, dcount), dcount)
         for delta, (dtotal, dcount) in sorted(merged.items())

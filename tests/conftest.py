@@ -37,7 +37,8 @@ def full_stats():
     correctness for the whole range.  The subset
     tuples of the public transcripts are pinned separately, byte for byte,
     by the digest tests in ``test_strategies.py``.  All 20 rows share one
-    ``verify.worker_pool``, as the sizes of a CLI run do.
+    ``verify.worker_pool``, as the sizes of a CLI run do, so each size adds
+    the kept tree of the size before it instead of walking it again.
     """
     with verify.worker_pool():
         return {

@@ -38,7 +38,9 @@ def run(capsys, *argv):
 def pool_log(monkeypatch):
     """Counts the worker pools ``verify`` constructs and records, for each
     shutdown, whether queued chunks were cancelled.  Two CPUs are reported
-    usable, so ``--threads 2`` means two workers on any machine."""
+    usable, so ``--threads 2`` means two workers on any machine, and every
+    size goes to the pool, however small, so a patched walk runs in the
+    workers and not in the test's process."""
     log = {"created": 0, "cancelled": []}
 
     class CountingPool(verify.ProcessPoolExecutor):
@@ -52,6 +54,7 @@ def pool_log(monkeypatch):
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_POOL_MIN_CONFIGS", 0)
     return log
 
 
@@ -383,6 +386,47 @@ class TestVerify:
         assert code == 0
         assert pool_log == {"created": pools, "cancelled": [False] * pools}
         assert_no_pool_survives()
+
+    @pytest.mark.parametrize("l_max, starts", [("7", False), ("8", True)])
+    def test_small_sizes_start_no_process(self, capsys, monkeypatch, l_max, starts):
+        # Up to l = 7 each size's walked part is too small for the pool, so
+        # a two-worker run walks it in this process and forks no worker.
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counted(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+        code, _, _ = run(capsys, "verify", "--l-max", l_max, "--threads", "2")
+        assert code == 0
+        assert bool(started) == starts
+        assert_no_pool_survives()
+
+    def test_each_state_is_walked_once_per_run(self, capsys, monkeypatch):
+        # A run up to n = 256 asks each state of the two trees of n = 256
+        # for its three readings once: the tree of each n // 2 is added, not
+        # walked again, inside the tree of n.  Walking every size whole
+        # makes 217,677 calls.  The kept sizes die with the run's block, so
+        # the two trees walked after it, outside any block, make as many
+        # calls as the run.
+        calls = [0]
+        advance = verify._advance
+
+        def counted(state, o, probe=None):
+            calls[0] += 1
+            return advance(state, o, probe)
+
+        monkeypatch.setattr(verify, "_advance", counted)
+        code, _, _ = run(capsys, "verify", "--l-max", "8", "--threads", "1")
+        assert code == 0
+        assert calls[0] == 3 * 54_485 == 163_455
+        calls[0] = 0
+        for strategy in ("proposed", "nested"):
+            verify.exhaustive_stats(256, strategy, threads=1)
+        assert calls[0] == 163_455
 
 
 class TestSweep:

@@ -42,6 +42,14 @@ def rows_equal(a, b):
     )
 
 
+@pytest.fixture
+def pool_small_sizes(monkeypatch):
+    """Two usable CPUs, and every size sent to the pool however small, so
+    that tests of the pooled walk run it at small n."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_POOL_MIN_CONFIGS", 0)
+
+
 class TestExhaustiveStats:
     def test_n4_proposed(self):
         stats = exhaustive_stats(4, "proposed")
@@ -105,7 +113,7 @@ class TestExhaustiveStats:
             exhaustive_stats(16, "proposed"), exhaustive_stats(16, "proposed")
         )
 
-    def test_parallel_merge_matches_sequential(self):
+    def test_parallel_merge_matches_sequential(self, pool_small_sizes):
         sequential = exhaustive_stats(32, "proposed", threads=1)
         parallel = exhaustive_stats(32, "proposed", threads=2)
         assert rows_equal(sequential, parallel)
@@ -132,7 +140,8 @@ def recording_pool(monkeypatch):
 
     It records each pool's size and every batch of jobs, and runs ``map`` in
     process.  ``sent_when_read`` holds, for each batch, how many batches had
-    been sent when its first result was read.
+    been sent when its first result was read.  Every size goes to the pool,
+    however small, so every size sends a batch.
     """
     pools = []
 
@@ -155,6 +164,7 @@ def recording_pool(monkeypatch):
             pass
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify, "_POOL_MIN_CONFIGS", 0)
     return pools
 
 
@@ -257,8 +267,7 @@ class TestWorkerPool:
         assert events[:first_chunk].count("t_given_delta") == 8
         assert set(events[first_chunk:]) == {"chunk"}
 
-    def test_shared_pool_rows_match_in_process(self, monkeypatch):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    def test_shared_pool_rows_match_in_process(self, pool_small_sizes):
         cases = [
             (1 << l, strategy)
             for l in range(1, 7)
@@ -311,10 +320,9 @@ class TestWalk:
     SIZES = [*range(2, 70), 100, 255, 256, 257]
 
     @pytest.mark.parametrize("strategy", ["proposed", "nested"])
-    def test_matches_run_range(self, monkeypatch, strategy):
+    def test_matches_run_range(self, pool_small_sizes, strategy):
         # The walk and the per-configuration runs give the same row at every
         # size, in one process and on two workers.
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         with worker_pool(2):
             pooled = [exhaustive_stats(n, strategy) for n in self.SIZES]
         for n, row in zip(self.SIZES, pooled):
@@ -502,8 +510,9 @@ class TestPlantedFaults:
         FAULTS,
         ids=[fault.__name__ for fault, *_ in FAULTS],
     )
-    def test_raises(self, monkeypatch, workers, fault, n, strategy, support, got):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    def test_raises(
+        self, monkeypatch, pool_small_sizes, workers, fault, n, strategy, support, got
+    ):
         monkeypatch.setattr(verify, "_advance", fault(verify._advance, n))
         if workers == 1:
             line = re.escape(
@@ -517,6 +526,37 @@ class TestPlantedFaults:
             )
         with pytest.raises(InternalContractError, match=f"^{line}$"):
             exhaustive_stats(n, strategy, threads=workers)
+
+
+class TestKeptSizes:
+    # Inside one block each size is walked with the kept tree of n // 2 in
+    # it; outside any block each call walks its whole tree.  With two
+    # workers only n = 512 goes to the pool here; ``TestWalk`` sends every
+    # size to it.
+    SIZES = [*range(2, 71), 128, 256, 512]
+
+    @pytest.mark.parametrize("strategy", ["proposed", "nested"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_calls_outside_any_block(self, monkeypatch, strategy, workers):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        with worker_pool(workers):
+            kept = [exhaustive_stats(n, strategy) for n in self.SIZES]
+            assert len(verify._open_pool[2]) == len(self.SIZES)
+        for n, row in zip(self.SIZES, kept):
+            assert rows_equal(row, exhaustive_stats(n, strategy, threads=1)), n
+
+    @pytest.mark.parametrize("strategy", ["proposed", "nested"])
+    def test_kept_worst_is_one_weighing_deeper(self, strategy):
+        # The tree of n // 2 is never the deepest part of the tree of n, so
+        # no row shows its worst; a kept partial with a planted worst does.
+        with worker_pool(1):
+            half = exhaustive_stats(8, strategy)
+            kept = verify._open_pool[2]
+            root = strategies._root(verify._ROOTS[strategy], 8)
+            count, total, worst, cells = kept[root]
+            kept[root] = count, total, worst + 10, cells
+            row = exhaustive_stats(16, strategy)
+        assert row.max_weighings == half.max_weighings + 11
 
 
 class TestRunRange:
