@@ -25,8 +25,11 @@ table of size l: a table of another size is rebuilt, never rescaled.
 The nested strategy's average satisfies a divide-and-conquer recursion in
 hypergeometric split probabilities alpha, each a ratio of falling powers.
 Multiplied through by the number of placements of the coins sought, it
-becomes a recursion on integer total path lengths.  Its optimum is attained
-by the midpoint split, giving closed forms at powers of two.
+becomes a recursion on integer total path lengths, evaluated at the
+midpoint split that the nested executor plays, which gives closed forms at
+powers of two.  The midpoint attains the optimum of the single-coin search
+at every size, but that of the pair search only at powers of two (see
+``NestedTables``).
 """
 
 from __future__ import annotations
@@ -314,17 +317,16 @@ class NestedTables:
     """Optimal expected nested-search costs by region size.
 
     ``opt1[s]`` locates one distinguished coin in a region of s coins;
-    ``opt21[s]`` and ``opt22[s]`` handle a region known to hold total weight
-    2 as one weight-2 coin or two weight-1 coins respectively, and
-    ``opt2[s]`` mixes them with the prior odds (2 : s-1) that a weight-2
-    region of s coins holds a single coin.  ``opt21`` is the same list as
-    ``opt1``, and ``split_t21`` is ``split_t1``: a lone weight-2 coin makes
-    every weighing read 0 or the full weight, exactly like a lone weight-1
-    coin, so both searches follow the same recursion from the same zero
-    base.  All values are exact and follow the midpoint split
-    m = floor(s/2), which is what the nested executor plays.  For the
-    single-coin tables the midpoint attains the true minimum over m at every
-    s.  For the pair tables it does so at every power of two
+    ``opt22[s]`` locates two weight-1 coins in a region of s coins known
+    to hold total weight 2, and ``opt2[s]`` mixes ``opt1`` and ``opt22``
+    with the prior odds (2 : s-1) that a weight-2 region of s coins holds a
+    single coin.  Locating that weight-2 coin costs ``opt1[s]``, and a split
+    of it ``split_t1``: a lone weight-2 coin makes every weighing read 0 or
+    the full weight, exactly like a lone weight-1 coin, so both searches
+    follow the same recursion from the same zero base.  All values are
+    exact and follow the midpoint split m = floor(s/2), which is what the
+    nested executor plays.  For the single-coin tables the midpoint attains
+    the true minimum over m at every s.  For the pair tables it does so at every power of two
     -- the only sizes a run started at n = 2**l ever visits -- but not at
     general s, where splitting at a nearby power of two can be strictly
     cheaper (first case s = 6: m = 2 costs 56/15 against 19/5 at the
@@ -368,10 +370,6 @@ class NestedTables:
         e1 = self._e1
         return _ZEROS + [Fraction(e1[s], s) for s in range(2, self.s_max + 1)]
 
-    @property
-    def opt21(self) -> list[Fraction]:
-        return self.opt1
-
     @functools.cached_property
     def opt22(self) -> list[Fraction]:
         e22 = self._e22
@@ -406,8 +404,6 @@ class NestedTables:
         """Expected cost of locating one coin when the first weighing takes m."""
         self._require(s, m)
         return Fraction(self._paths1(s, m), s)
-
-    split_t21 = split_t1
 
     def split_t22(self, s: int, m: int) -> Fraction:
         self._require(s, m)

@@ -207,11 +207,6 @@ class Configuration:
         p, q = self.positions
         return ((p, TOTAL_WEIGHT),) if p == q else ((p, 1), (q, 1))
 
-    @property
-    def is_type_one(self) -> bool:
-        p, q = self.positions
-        return p == q
-
     def as_text(self) -> str:
         """The weight list as ``from_text`` reads it, e.g. ``0,0,1,0,0,1``."""
         return ",".join(map(str, self.weights))

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 from .model import (
     Configuration,
@@ -64,7 +63,6 @@ from .model import (
     _dense,
     _logged_subsets,
     oracle,
-    weigh_runs,
 )
 
 __all__ = ["Transcript", "run_proposed", "run_nested", "check_nested"]
@@ -133,10 +131,13 @@ def _query(state: _State) -> Runs:
         return _union(alo, (alo + ahi) // 2, blo, (blo + bhi) // 2)
     if kind == _PI2:
         _, alo, ahi, blo, bhi = state
-        if bhi - blo == 2:
-            return ((alo, alo + 1),)
+        amid = (alo + ahi) // 2
         bmid = (blo + bhi) // 2
-        return _union(alo, (alo + ahi) // 2, bmid, (bmid + bhi) // 2)
+        bqtr = (bmid + bhi) // 2
+        if bmid == bqtr:
+            # b has two coins, so its quarter is empty.
+            return ((alo, amid),)
+        return _union(alo, amid, bmid, bqtr)
     lo = state[1]
     return ((lo, (lo + state[2]) // 2),)
 
@@ -191,68 +192,49 @@ def _one_a(alo: int, ahi: int, blo: int, bhi: int) -> _State:
     return _one_b(blo, bhi, alo)
 
 
-def _joint(alo: int, ahi: int, blo: int, bhi: int, probe: Scale | None) -> _State:
+def _joint(alo: int, ahi: int, blo: int, bhi: int) -> _State:
     # Entry into Π1 on a = [alo, ahi) and b = [blo, bhi), each of weight 1;
     # once either is a single coin, Π0 on weight 1 takes over.
-    if probe is not None and (
-        probe(((alo, ahi),)),
-        probe(((blo, bhi),)),
-    ) != (1, 1):
-        raise InternalContractError(
-            f"joint round on [{alo}, {ahi}), [{blo}, {bhi}): not 1 each"
-        )
     if ahi - alo > 1 and bhi - blo > 1:
         return (_PI1, alo, ahi, blo, bhi)
     return _one_a(alo, ahi, blo, bhi)
 
 
-def _advance(state: _State, o: int, probe: Scale | None = None) -> _State | None:
+def _advance(state: _State, o: int) -> _State | None:
     """The state after ``state`` reads ``o``, or None for a reading that
-    the state rejects.
-
-    Given ``probe``, a scale that weighs without logging, each entry into a
-    joint round or a tie-break first checks its precondition with it and
-    raises ``InternalContractError`` if that fails.
-    """
+    the state rejects."""
     kind = state[0]
     if kind == _PI1:
         _, alo, ahi, blo, bhi = state
         amid = (alo + ahi) // 2
         bmid = (blo + bhi) // 2
         if o == 0:
-            return _joint(amid, ahi, bmid, bhi, probe)
+            return _joint(amid, ahi, bmid, bhi)
         if o == 2:
-            return _joint(alo, amid, blo, bmid, probe)
+            return _joint(alo, amid, blo, bmid)
+        if o != 1:
+            return None
         # Π2.  Known: the joined lower halves weigh 1, so one coin sits in a
         # lower half and the other in an upper half.  b is made the larger
         # region, and keeps that name in the joint rounds that follow.
-        if probe is not None and probe(_union(alo, amid, blo, bmid)) != 1:
-            raise InternalContractError(
-                f"tie-break on [{alo}, {ahi}), [{blo}, {bhi}): lower not 1"
-            )
         if bhi - blo < ahi - alo:
             return (_PI2, blo, bhi, alo, ahi)
         return (_PI2, alo, ahi, blo, bhi)
     if kind == _PI2:
         _, alo, ahi, blo, bhi = state
-        if bhi - blo == 2:
-            # a and b both have two coins: one weighing of a's lower coin
-            # settles all four.
-            if o == 0:
-                return _found(alo + 1, blo)
-            if o == 1:
-                return _found(alo, bhi - 1)
-            return None
         amid = (alo + ahi) // 2
         bmid = (blo + bhi) // 2
         bqtr = (bmid + bhi) // 2
         if o == 0:
-            return _joint(amid, ahi, blo, bmid, probe)
+            return _joint(amid, ahi, blo, bmid)
         if o == 1:
             # a's lower half holds its coin (else outcome 0 or 2), so b's
             # coin is in the top quarter of b.
-            return _joint(alo, amid, bqtr, bhi, probe)
-        return _joint(alo, amid, bmid, bqtr, probe)
+            return _joint(alo, amid, bqtr, bhi)
+        if o == 2 and bmid < bqtr:
+            return _joint(alo, amid, bmid, bqtr)
+        # No scale reads 2 when b's quarter is empty.
+        return None
 
     # Π0: bisect [lo, hi), of weight w, at its midpoint.
     lo, hi = state[1], state[2]
@@ -263,7 +245,7 @@ def _advance(state: _State, o: int, probe: Scale | None = None) -> _State | None
     elif o == w:
         hi = mid
     elif kind == _PROPOSED and o == 1:
-        return _joint(lo, mid, mid, hi, probe)
+        return _joint(lo, mid, mid, hi)
     elif kind == _NESTED and o == 1:
         return _one_a(lo, mid, mid, hi)
     else:
@@ -275,18 +257,18 @@ def _advance(state: _State, o: int, probe: Scale | None = None) -> _State | None
     return (kind, lo, hi) if hi - lo > 1 else (_FOUND, lo, lo)
 
 
-def _follow(
-    state: _State, ask: Scale, probe: Scale | None = None
-) -> tuple[int, int]:
+def _follow(state: _State, ask: Scale) -> tuple[int, int]:
     # Weigh each state's query through ``ask`` until a leaf; a rejected
     # reading raises.
     while True:
         o = ask(_query(state))
-        after = _advance(state, o, probe)
+        after = _advance(state, o)
         if after is None:
-            if state[0] == _PI2:
+            if state[0] == _PI1 or state[0] == _PI2:
+                _, alo, ahi, blo, bhi = state
                 raise InternalContractError(
-                    f"singleton weighed {o} in a joint round"
+                    f"weighed {o} in a joint round on "
+                    f"[{alo}, {ahi}), [{blo}, {bhi})"
                 )
             w = 2 if state[0] <= _NESTED else 1
             raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
@@ -295,15 +277,11 @@ def _follow(
         state = after
 
 
-def _proposed_core(
-    n: int, ask: Scale, probe: Scale | None = None
-) -> tuple[int, int]:
+def _proposed_core(n: int, ask: Scale) -> tuple[int, int]:
     """Π0/Π1/Π2 on coins 1..n, weighing through ``ask``.
 
     Returns the recovered support.  A region is the run [lo, hi) and is
-    split at its midpoint.  Given ``probe``, a scale that weighs without
-    logging, each entry into a joint round first checks its precondition
-    with it and raises ``InternalContractError`` if that fails.
+    split at its midpoint.
 
     The procedures are the states of ``_advance``:
 
@@ -312,13 +290,13 @@ def _proposed_core(
       two halves a and b to the joint rounds.
     * Each Π1 state is one joint round on a and b, each of weight 1.
       Outcome 0 or 2 keeps both upper or both lower halves.  Outcome 1
-      enters Π2's tie-break, which asks one more weighing and hands new
-      regions back to Π1; when a and b both have two coins that weighing
-      settles all four.
+      enters Π2's tie-break, which weighs a's lower half with the lower
+      quarter of b's upper half and hands new regions back to Π1.  When b
+      has two coins that quarter is empty, and reading 2 is rejected.
     * Once a or b is a single coin, Π0 on weight 1 bisects a, then b; the
       single coin costs no weighing.
     """
-    return _follow(_root(_PROPOSED, n), ask, probe)
+    return _follow(_root(_PROPOSED, n), ask)
 
 
 def _nested_core(n: int, ask: Scale) -> tuple[int, int]:
@@ -333,29 +311,20 @@ def _nested_core(n: int, ask: Scale) -> tuple[int, int]:
 
 
 def _run(
-    config: Configuration, core: Callable[..., tuple[int, int]], debug: bool = False
+    config: Configuration, core: Callable[[int, Scale], tuple[int, int]]
 ) -> Transcript:
-    # Both runners' body; with ``debug`` the core also gets a scale that
-    # does not log.
+    # Both runners' body.
     if not isinstance(config, Configuration):
         raise InvalidConfigurationError(f"not a Configuration: {config!r}")
     n = config.n
     ask, log = oracle(*config.positions)
-    probe = (partial(weigh_runs, *config.positions),) if debug else ()
-    support = core(n, ask, *probe)
+    support = core(n, ask)
     return Transcript(_logged_subsets(n, log), _dense(n, *support))
 
 
-def run_proposed(config: Configuration, *, debug: bool = False) -> Transcript:
-    """Execute the halving scheme on ``config`` (any n >= 2).
-
-    With ``debug`` set, every entry into a joint round re-checks its
-    precondition (both regions hold weight exactly 1, and for Π2 the lower
-    halves hold 1 together) on a second scale that does not log, so the
-    transcript is the same, and raises ``InternalContractError`` if it
-    fails.
-    """
-    return _run(config, _proposed_core, debug)
+def run_proposed(config: Configuration) -> Transcript:
+    """Execute the halving scheme on ``config`` (any n >= 2)."""
+    return _run(config, _proposed_core)
 
 
 def run_nested(config: Configuration) -> Transcript:

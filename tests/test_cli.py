@@ -290,8 +290,8 @@ class TestVerify:
         # leaf; only the walk uses the planted one.
         advance = verify._advance
 
-        def wrong_leaf(state, o, probe=None):
-            after = advance(state, o, probe)
+        def wrong_leaf(state, o):
+            after = advance(state, o)
             if after == (strategies._FOUND, 1, 1):
                 return (strategies._FOUND, 1, 2)
             return after
@@ -313,10 +313,10 @@ class TestVerify:
         # the walk never reaches coin 1 of weight 2: one leaf short.
         advance = verify._advance
 
-        def rejecting(state, o, probe=None):
+        def rejecting(state, o):
             if state == strategies._root(strategies._PROPOSED, 2) and o == 2:
                 return None
-            return advance(state, o, probe)
+            return advance(state, o)
 
         monkeypatch.setattr(verify, "_advance", rejecting)
         code, out, err = run(capsys, "verify", "--l-max", "3", "--threads", "1")
@@ -415,9 +415,9 @@ class TestVerify:
         calls = [0]
         advance = verify._advance
 
-        def counted(state, o, probe=None):
+        def counted(state, o):
             calls[0] += 1
-            return advance(state, o, probe)
+            return advance(state, o)
 
         monkeypatch.setattr(verify, "_advance", counted)
         code, _, _ = run(capsys, "verify", "--l-max", "8", "--threads", "1")

@@ -47,13 +47,11 @@ class TestConfiguration:
     def test_type_one(self):
         config = Configuration.type_one(4, 1)
         assert config.weights == (2, 0, 0, 0)
-        assert config.is_type_one
         assert config.support == ((1, 2),)
 
     def test_type_two(self):
         config = Configuration.type_two(4, 2, 3)
         assert config.weights == (0, 1, 1, 0)
-        assert not config.is_type_one
         assert config.support == ((2, 1), (3, 1))
 
     def test_type_two_requires_ordered_pair(self):
@@ -183,7 +181,6 @@ class TestConfiguration:
                     assert config.support == tuple(
                         (k, weights[k - 1]) for k in nonzero
                     )
-                    assert config.is_type_one == (len(nonzero) == 1)
                 assert accepted == bounds_rule(weights), weights
 
     def test_text_round_trip(self):

@@ -91,35 +91,56 @@ class TestProposed:
             assert_transcript_valid(config, run_proposed(config))
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
-    def test_debug_mode_contracts_hold(self, n):
-        for config in all_configs(n):
-            transcript = run_proposed(config, debug=True)
-            assert transcript.estimate == config.weights
+    def test_debug_mode_contracts_hold(self, monkeypatch, n):
+        # At each joint round a run enters, a and b weigh 1 each, and at
+        # each tie-break their lower halves weigh 1 together: weighed on
+        # the true support with ``weigh_runs``, which logs nothing.
+        advance = strategies._advance
+        visited = []
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
-    def test_debug_probe_never_logs(self, n):
-        # The debug checks weigh on a scale without a log, so the transcript
-        # (queries and estimate) is the one a run without them produces.
-        for config in all_configs(n):
-            assert run_proposed(config, debug=True) == run_proposed(config)
+        def recording(state, o):
+            visited.append(state)
+            return advance(state, o)
 
-    def test_debug_mode_rejects_lying_oracle(self):
-        # The scale reports a 1 / 1 split first and weight 0 afterwards, so
-        # the joint round's precondition fails; without the probe the run
-        # returns the wrong support (2, 4).
+        monkeypatch.setattr(strategies, "_advance", recording)
+        for config in all_configs(n):
+            visited.clear()
+            assert run_proposed(config).estimate == config.weights
+            scale = partial(weigh_runs, *config.positions)
+            for kind, *regions in visited:
+                if kind != strategies._PI1 and kind != strategies._PI2:
+                    continue
+                alo, ahi, blo, bhi = regions
+                assert scale(((alo, ahi),)) == scale(((blo, bhi),)) == 1
+                if kind == strategies._PI2:
+                    lower = _union(alo, (alo + ahi) // 2, blo, (blo + bhi) // 2)
+                    assert scale(lower) == 1, (config, regions)
+
+    def test_possible_readings_are_followed(self):
+        # A scale that reports a 1 / 1 split and weight 0 afterwards gives
+        # readings that support (2, 4) gives, so the run ends there.
         assert strategies._proposed_core(4, lying_scale([1])) == (2, 4)
-        lie = lying_scale([1])
-        with pytest.raises(InternalContractError):
-            strategies._proposed_core(4, lie, lie)
 
-    def test_debug_mode_rejects_lying_tie_break(self):
-        # The scale reports a 1 / 1 split, both halves of weight 1 at the
-        # joint round's entry and 1 for the joined lower halves, then 0 when
-        # Π2 re-weighs those lower halves.  Only Π2's check can fail; without
-        # it the 2 x 2 tie-break would settle on the wrong support (2, 3).
-        lie = lying_scale([1, 1, 1, 1])
-        with pytest.raises(InternalContractError, match="tie-break"):
-            strategies._proposed_core(4, lie, lie)
+    @pytest.mark.parametrize(
+        "n, answers, regions",
+        [
+            # Π2 on a = [1, 3) and b = [3, 5): b's quarter is empty, so no
+            # scale reads 2 on a's lower coin alone.
+            (4, [1, 1, 2], "[1, 3), [3, 5)"),
+            # Π1 reads 3 or -1 on two runs of weight 1 each at most.
+            (4, [1, 3], "[1, 3), [3, 5)"),
+            (8, [1, -1], "[1, 5), [5, 9)"),
+            # Π2 on a = [9, 13) and b = [13, 17) weighs [9, 11) and [15, 16).
+            (16, [0, 1, 1, 3], "[9, 13), [13, 17)"),
+        ],
+        ids=["pi2-2-empty-quarter", "pi1-3", "pi1-minus-1", "pi2-3"],
+    )
+    def test_impossible_joint_reading_raises(self, n, answers, regions):
+        with pytest.raises(InternalContractError) as info:
+            strategies._proposed_core(n, lying_scale(answers))
+        assert str(info.value) == (
+            f"weighed {answers[-1]} in a joint round on {regions}"
+        )
 
     @pytest.mark.parametrize("reading", [3, -1])
     def test_impossible_weight_two_reading_raises(self, reading):
@@ -131,9 +152,7 @@ class TestProposed:
 
     @pytest.mark.parametrize("config", [5, None, (0, 2), "0,2"])
     @pytest.mark.parametrize(
-        "runner",
-        [run_proposed, partial(run_proposed, debug=True), run_nested],
-        ids=["proposed", "proposed-debug", "nested"],
+        "runner", [run_proposed, run_nested], ids=["proposed", "nested"]
     )
     def test_rejects_what_is_not_a_configuration(self, runner, config):
         with pytest.raises(InvalidConfigurationError, match="not a Configuration"):
@@ -150,7 +169,7 @@ class TestProposed:
     def test_recovery_random(self, data):
         n = data.draw(st.integers(2, 64))
         config = data.draw(st.sampled_from(all_configs(n)))
-        transcript = run_proposed(config, debug=True)
+        transcript = run_proposed(config)
         assert_transcript_valid(config, transcript)
         # 2 ceil(log2 n) - 1, which is 2l - 1 at n = 2**l.
         assert transcript.weighings <= 2 * (n - 1).bit_length() - 1
@@ -169,7 +188,7 @@ class TestProposed:
         # Halves of a run of odd size differ by one coin; the split is the
         # same midpoint (lo + hi) // 2 as at a power of two.
         config = Configuration(weights)
-        transcript = run_proposed(config, debug=True)
+        transcript = run_proposed(config)
         assert transcript.queries == queries
         assert_transcript_valid(config, transcript)
 
@@ -299,13 +318,11 @@ def assert_subsets_sliced(transcript: Transcript, queries, n: int):
         assert (subset, outcome) == (reference, core_outcome)
 
 
-def logged(core, n: int, p: int, q: int, debug: bool = False):
-    """Run ``core`` on the scale of ``model.oracle`` for the support (p, q),
-    given a probe that weighs without logging when ``debug`` is set; return
-    the oracle's log and the recovered support."""
+def logged(core, n: int, p: int, q: int):
+    """Run ``core`` on the scale of ``model.oracle`` for the support (p, q);
+    return the oracle's log and the recovered support."""
     ask, log = oracle(p, q)
-    probe = (partial(weigh_runs, p, q),) if debug else ()
-    return log, core(n, ask, *probe)
+    return log, core(n, ask)
 
 
 class TestTranscriptSubsets:
@@ -375,9 +392,9 @@ class TestShape:
         advance = strategies._advance
         visited = []
 
-        def recording(state, o, probe=None):
+        def recording(state, o):
             visited.append(state)
-            return advance(state, o, probe)
+            return advance(state, o)
 
         monkeypatch.setattr(strategies, "_advance", recording)
         for n in range(2, 65):
@@ -416,17 +433,19 @@ class TestShape:
 # the reference they must match: Π0, Π1 and Π2 as mutually recursive
 # closures, and nested bisection as one recursive closure.  Their logic and
 # messages are unchanged, except that ``pi0``, like ``solve``, takes only a
-# reading of 1 on weight 2 for a 1 / 1 split and raises on any other; only
+# reading of 1 on weight 2 for a 1 / 1 split and raises on any other, and
+# that ``pi1`` and ``pi2`` raise on any reading no scale gives them, with
+# ``pi2`` using its general rule when a and b both have two coins; only
 # annotations and comments were dropped.  Like the loop cores, they weigh
-# only through the scales ``ask`` and ``probe`` they are given and return the
-# support, so a test can hand both the same lying scale.
+# only through the scale ``ask`` they are given and return the support, so
+# a test can hand both the same lying scale.
 def _union(alo, ahi, blo, bhi):
     if alo < blo:
         return ((alo, ahi), (blo, bhi))
     return ((blo, bhi), (alo, ahi))
 
 
-def recursive_proposed_core(n, ask, probe=None):
+def recursive_proposed_core(n, ask):
     found = []
 
     def pi0(lo, hi, w):
@@ -444,14 +463,12 @@ def recursive_proposed_core(n, ask, probe=None):
         else:
             raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
 
+    def impossible(o, alo, ahi, blo, bhi):
+        return InternalContractError(
+            f"weighed {o} in a joint round on [{alo}, {ahi}), [{blo}, {bhi})"
+        )
+
     def pi1(alo, ahi, blo, bhi):
-        if probe is not None and (
-            probe(((alo, ahi),)),
-            probe(((blo, bhi),)),
-        ) != (1, 1):
-            raise InternalContractError(
-                f"joint round on [{alo}, {ahi}), [{blo}, {bhi}): not 1 each"
-            )
         if ahi - alo == 1 or bhi - blo == 1:
             pi0(alo, ahi, 1)
             pi0(blo, bhi, 1)
@@ -463,34 +480,29 @@ def recursive_proposed_core(n, ask, probe=None):
             pi1(amid, ahi, bmid, bhi)
         elif o == 2:
             pi1(alo, amid, blo, bmid)
-        else:
+        elif o == 1:
             pi2(alo, ahi, blo, bhi)
+        else:
+            raise impossible(o, alo, ahi, blo, bhi)
 
     def pi2(alo, ahi, blo, bhi):
-        if probe is not None and probe(
-            _union(alo, (alo + ahi) // 2, blo, (blo + bhi) // 2)
-        ) != 1:
-            raise InternalContractError(
-                f"tie-break on [{alo}, {ahi}), [{blo}, {bhi}): lower not 1"
-            )
-        if ahi - alo == 2 and bhi - blo == 2:
-            o = ask(((alo, alo + 1),))
-            if o not in (0, 1):
-                raise InternalContractError(f"singleton weighed {o} in a joint round")
-            found.extend((alo, bhi - 1) if o else (alo + 1, blo))
-            return
         if bhi - blo < ahi - alo:
             alo, ahi, blo, bhi = blo, bhi, alo, ahi
         amid = (alo + ahi) // 2
         bmid = (blo + bhi) // 2
         bqtr = (bmid + bhi) // 2
-        o = ask(_union(alo, amid, bmid, bqtr))
+        if bmid == bqtr:
+            o = ask(((alo, amid),))
+        else:
+            o = ask(_union(alo, amid, bmid, bqtr))
         if o == 0:
             pi1(amid, ahi, blo, bmid)
         elif o == 1:
             pi1(alo, amid, bqtr, bhi)
-        else:
+        elif o == 2 and bmid < bqtr:
             pi1(alo, amid, bmid, bqtr)
+        else:
+            raise impossible(o, alo, ahi, blo, bhi)
 
     pi0(1, n + 1, 2)
     lo_coin, hi_coin = sorted(found)
@@ -542,9 +554,9 @@ def lying_scale(answers):
     return lambda runs: next(replies, 0)
 
 
-def run_on_oracle(core, answers, n: int, debug: bool = False):
-    """Run ``core`` with every weighing, the probe's included, answered from
-    ``answers`` (0 once they run out).  Return the logged weighings with
+def run_on_oracle(core, answers, n: int):
+    """Run ``core`` with every weighing answered from ``answers`` (0 once
+    they run out).  Return the logged weighings with
     their answers, and the recovered support or the message of the contract
     error the core raised."""
     lie = lying_scale(answers)
@@ -555,9 +567,8 @@ def run_on_oracle(core, answers, n: int, debug: bool = False):
         log.append((runs, outcome))
         return outcome
 
-    probe = (lie,) if debug else ()
     try:
-        result = core(n, ask, *probe)
+        result = core(n, ask)
     except InternalContractError as exc:
         result = f"InternalContractError: {exc}"
     return log, result
@@ -568,12 +579,11 @@ class TestLoopCoresMatchRecursive:
     def test_proposed_every_support(self, l):
         # Every n with ceil(log2 n) = l up to n = 64, and n = 2**l above.
         sizes = range((1 << (l - 1)) + 1, (1 << l) + 1) if l <= 6 else [1 << l]
-        debug = l <= 6
         for n in sizes:
             for p, q in iter_supports(n):
-                assert logged(
-                    strategies._proposed_core, n, p, q, debug
-                ) == logged(recursive_proposed_core, n, p, q, debug), (n, p, q)
+                assert logged(strategies._proposed_core, n, p, q) == logged(
+                    recursive_proposed_core, n, p, q
+                ), (n, p, q)
 
     def test_nested_every_support(self):
         for n in range(2, 65):
@@ -582,13 +592,13 @@ class TestLoopCoresMatchRecursive:
                     recursive_nested_core, n, p, q
                 ), (n, p, q)
 
-    @given(st.data(), st.booleans())
-    def test_proposed_n4096(self, data, debug):
+    @given(st.data())
+    def test_proposed_n4096(self, data):
         n = data.draw(sizes_to_4096)
         p, q = data.draw(supports(n))
-        assert logged(
-            strategies._proposed_core, n, p, q, debug
-        ) == logged(recursive_proposed_core, n, p, q, debug)
+        assert logged(strategies._proposed_core, n, p, q) == logged(
+            recursive_proposed_core, n, p, q
+        )
 
     @given(st.data())
     def test_nested_n4096_and_non_powers_of_two(self, data):
@@ -598,17 +608,13 @@ class TestLoopCoresMatchRecursive:
             recursive_nested_core, n, p, q
         )
 
-    @given(
-        st.integers(2, 65),
-        st.booleans(),
-        st.lists(st.integers(-1, 3), max_size=30),
-    )
-    def test_same_queries_and_errors_on_any_oracle(self, n, debug, answers):
+    @given(st.integers(2, 65), st.lists(st.integers(-1, 3), max_size=30))
+    def test_same_queries_and_errors_on_any_oracle(self, n, answers):
         # Any sequence of outcomes, true or not, yields the same queries and
-        # support, or the same contract error, including both debug checks.
+        # support, or the same contract error.
         assert run_on_oracle(
-            strategies._proposed_core, answers, n, debug
-        ) == run_on_oracle(recursive_proposed_core, answers, n, debug)
+            strategies._proposed_core, answers, n
+        ) == run_on_oracle(recursive_proposed_core, answers, n)
         assert run_on_oracle(
             strategies._nested_core, answers, n
         ) == run_on_oracle(recursive_nested_core, answers, n)

@@ -374,8 +374,8 @@ class TestWalk:
         # on [7, 9), tells the planted leaf from the true one.
         advance = verify._advance
 
-        def past_n(state, o, probe=None):
-            after = advance(state, o, probe)
+        def past_n(state, o):
+            after = advance(state, o)
             if after == (strategies._FOUND, 8, 8):
                 return (strategies._FOUND, 9, 9)
             return after
@@ -393,10 +393,10 @@ class TestWalk:
         # parent's set does.
         advance = verify._advance
 
-        def lying(state, o, probe=None):
+        def lying(state, o):
             if o == 3:
                 return (strategies._FOUND, 1, 2)
-            return advance(state, o, probe)
+            return advance(state, o)
 
         monkeypatch.setattr(verify, "_READINGS", (0, 1, 2, 3))
         monkeypatch.setattr(verify, "_advance", lying)
@@ -417,14 +417,14 @@ def swapped_pi1(advance, n):
     # Readings 0 and 2 swapped at each Π1 state whose regions both have at
     # least four coins.  Each moved child is a Π1 state on the other
     # halves; only its corner reading tells it from the true one.
-    def planted(state, o, probe=None):
+    def planted(state, o):
         if (
             state[0] == strategies._PI1
             and o != 1
             and min(state[2] - state[1], state[4] - state[3]) >= 4
         ):
             o = 2 - o
-        return advance(state, o, probe)
+        return advance(state, o)
 
     return planted
 
@@ -432,20 +432,20 @@ def swapped_pi1(advance, n):
 def swapped_pi2(advance, n):
     # Readings 1 and 2 swapped at each Π2 state whose b has quarters: b's
     # top two quarters trade places.
-    def planted(state, o, probe=None):
+    def planted(state, o):
         if state[0] == strategies._PI2 and o != 0 and state[4] - state[3] >= 4:
             o = 3 - o
-        return advance(state, o, probe)
+        return advance(state, o)
 
     return planted
 
 
 def duplicated_subtree(advance, n):
     # Reading 0 of every Π1 state leads where reading 2 does.
-    def planted(state, o, probe=None):
+    def planted(state, o):
         if state[0] == strategies._PI1 and o == 0:
             o = 2
-        return advance(state, o, probe)
+        return advance(state, o)
 
     return planted
 
@@ -454,8 +454,8 @@ def unordered_leaf(advance, n):
     # Where Π0 on weight 2 splits its last two coins 1 / 1, the leaf names
     # its support as (q, p).  The scale reads the same either way, and the
     # parent's triangle holds both orders: only p <= q tells them apart.
-    def planted(state, o, probe=None):
-        after = advance(state, o, probe)
+    def planted(state, o):
+        after = advance(state, o)
         if state[0] <= strategies._NESTED and o == 1 and after[0] == FOUND:
             return (FOUND, after[2], after[1])
         return after
@@ -467,8 +467,8 @@ def child_outside_parent(advance, n):
     # Π0 on weight 2 on the last two coins, [n - 1, n + 1), moves to
     # [n + 1, n + 3): it reads 0 and its runs miss the query, as the true
     # one does, and its subtree holds three leaves, as the true one does.
-    def planted(state, o, probe=None):
-        after = advance(state, o, probe)
+    def planted(state, o):
+        after = advance(state, o)
         if after == (strategies._NESTED, n - 1, n + 1):
             return (strategies._NESTED, n + 1, n + 3)
         return after
@@ -481,12 +481,12 @@ def straddling_child(advance, n):
     # Π1 at mid + 1 instead of mid.  The regions, of m + 1 and m coins in
     # place of m and m + 1, hold as many pairs, and a's first coin reads 1;
     # only a's run, across the query [lo, mid), tells the child is wrong.
-    def planted(state, o, probe=None):
+    def planted(state, o):
         if state[0] == strategies._PROPOSED and o == 1 and (state[2] - state[1]) % 2:
             _, lo, hi = state
             mid = (lo + hi) // 2 + 1
-            return strategies._joint(lo, mid, mid, hi, probe)
-        return advance(state, o, probe)
+            return strategies._joint(lo, mid, mid, hi)
+        return advance(state, o)
 
     return planted
 
