@@ -8,11 +8,11 @@ Four subcommands:
 * ``verify``   cross-check analytic predictions against exhaustive execution
 * ``sweep``    write the size-sweep comparison table as CSV
 
-Exit codes: 0 success, 1 verification failure (a crashed worker process
-counts as one), 2 usage error, 130 interrupted by Ctrl-C.  File output
-is written in one shot after all computation succeeds, so failures never
-leave partial files behind.  All numeric formatting is fixed, making output
-byte-stable across runs and machines.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 130
+interrupted by Ctrl-C.  File output is written in one shot after all
+computation succeeds, so failures never leave partial files behind.  All
+numeric formatting is fixed, making output byte-stable across runs and
+machines.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import analysis, verify
@@ -134,32 +133,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     doc = []
     failed_at: int | None = None
-    with verify.worker_pool(args.threads):
-        for l in range(1, l_max + 1):
-            report = verify.cross_check(l, threads=args.threads)
-            # Each report is rendered once; the text lines print from it.
-            row = _json_row({key: getattr(report, key) for key in _REPORT_FIELDS})
-            row["per_delta"] = [_json_row(vars(cell)) for cell in report.per_delta]
-            doc.append(row)
-            if not args.json:
-                status = "PASS" if report.ok else "FAIL"
-                print(
-                    f"l={l}: {status} avg={row['empirical_avg']} "
-                    f"nested={row['nested_empirical']} max={row['max_proposed']}"
-                )
-                shown = row["per_delta"][:_PER_DELTA_SHOWN]
-                rows = "; ".join(
-                    f"d={cell['delta']}: {cell['analytic']} vs "
-                    f"{cell['empirical']} ({cell['configs']} cfgs)"
-                    for cell in shown
-                )
-                extra = len(report.per_delta) - len(shown)
-                tail = f"; ... {extra} more" if extra > 0 else ""
-                print(f"  per-delta analytic vs empirical (info): {rows}{tail}")
-                for line in report.mismatches:
-                    print(f"  mismatch: {line}")
-            if not report.ok and failed_at is None:
-                failed_at = l
+    for l in range(1, l_max + 1):
+        report = verify.cross_check(l, threads=args.threads)
+        # Each report is rendered once; the text lines print from it.
+        row = _json_row({key: getattr(report, key) for key in _REPORT_FIELDS})
+        row["per_delta"] = [_json_row(vars(cell)) for cell in report.per_delta]
+        doc.append(row)
+        if not args.json:
+            status = "PASS" if report.ok else "FAIL"
+            print(
+                f"l={l}: {status} avg={row['empirical_avg']} "
+                f"nested={row['nested_empirical']} max={row['max_proposed']}"
+            )
+            shown = row["per_delta"][:_PER_DELTA_SHOWN]
+            rows = "; ".join(
+                f"d={cell['delta']}: {cell['analytic']} vs "
+                f"{cell['empirical']} ({cell['configs']} cfgs)"
+                for cell in shown
+            )
+            extra = len(report.per_delta) - len(shown)
+            tail = f"; ... {extra} more" if extra > 0 else ""
+            print(f"  per-delta analytic vs empirical (info): {rows}{tail}")
+            for line in report.mismatches:
+                print(f"  mismatch: {line}")
+        if not report.ok and failed_at is None:
+            failed_at = l
     if args.json:
         print(json.dumps(doc, sort_keys=True))
     if failed_at is None:
@@ -183,26 +181,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CoinWeighError(f"--l-max must be >= 2 for a sweep, got {l_max}")
     # Reject a top size too large for binary64 before any row is built.
     analysis.lower_bounds(1 << l_max)
-    # A bad --threads is a usage error even when no pool would start.
+    # A bad --threads is a usage error even without --simulate.
     if args.threads is not None:
-        verify._resolve_threads(args.threads)
+        verify._check_threads(args.threads)
 
     # Rows that exhaustive runs can certify stay exact rationals.
     rows = [_size_row(l, l <= ENUMERATION_CAP_L) for l in range(1, l_max + 1)]
     if args.simulate:
-        # Only a simulated sweep starts workers, all in one shared pool.
-        with verify.worker_pool(args.threads):
-            for row in rows:
-                if row["l"] <= ENUMERATION_CAP_L:
-                    row["sim_prop_avg"] = verify.exhaustive_stats(
-                        row["n"], "proposed", threads=args.threads
-                    ).average
-                    row["sim_nested_avg"] = verify.exhaustive_stats(
-                        row["n"], "nested", threads=args.threads
-                    ).average
-                else:
-                    row["sim_prop_avg"] = None
-                    row["sim_nested_avg"] = None
+        for row in rows:
+            if row["l"] <= ENUMERATION_CAP_L:
+                row["sim_prop_avg"] = verify.exhaustive_stats(
+                    row["n"], "proposed", threads=args.threads
+                ).average
+                row["sim_nested_avg"] = verify.exhaustive_stats(
+                    row["n"], "nested", threads=args.threads
+                ).average
+            else:
+                row["sim_prop_avg"] = None
+                row["sim_nested_avg"] = None
 
     lines = [",".join(rows[0])]
     lines += [",".join(map(_csv_cell, row.values())) for row in rows]
@@ -296,7 +292,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InternalContractError, BrokenProcessPool) as exc:
+    except InternalContractError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except CoinWeighError as exc:

@@ -33,12 +33,20 @@ Each strategy has a private core, a loop that follows the step function
 from its root state.  A core is given n and the scale ``ask`` of
 ``model.oracle``, weighs each query (runs ascending) only through it, and
 returns the recovered support, or raises ``InternalContractError`` on a
-rejected reading.  It never sees the hidden support and never records a
-query: ``ask`` logs each (runs, outcome) pair as the scale answers it.
-The exhaustive verifier follows it another way: it walks the decision
-tree of the same step function, branching on every reading 0, 1 or 2 that
-a state accepts, and checks each edge against ``_shape(state)``, the set of
-supports whose run passes through a state (see ``verify``).  ``run_proposed`` and ``run_nested``
+rejected reading.  It takes each step on the state's canonical form,
+``_canon``: the same kind and region sizes, with the regions placed from
+coin 1 on in their order.  It places the query's runs back among the real
+coins before it weighs them, and composes the offsets of each child with
+its parent's.  So ``_query`` and ``_advance`` never
+see where a region lies; they use only sizes, midpoints and the order of
+two regions.  A tree has few canonical states, so the cores' steps
+(``_step``) are memoised.  A core never sees the hidden support and never
+records a query: ``ask`` logs each (runs, outcome) pair as the scale
+answers it.  The exhaustive verifier follows it another way: it walks the
+decision tree of the same step function on the same canonical states,
+branching on every reading 0, 1 or 2 that a state accepts, and checks each
+edge against ``_shape(state)``, the set of supports whose run passes
+through a state (see ``verify``).  ``run_proposed`` and ``run_nested``
 share one run body, which turns the log and the support into a
 ``Transcript`` of ``model.Subset`` queries and a dense estimate, both
 built by ``model`` (see its docstring).
@@ -52,6 +60,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .model import (
     Configuration,
@@ -257,24 +266,111 @@ def _advance(state: _State, o: int) -> _State | None:
     return (kind, lo, hi) if hi - lo > 1 else (_FOUND, lo, lo)
 
 
+def _regions(state: _State) -> Runs:
+    """The regions of ``state``, which is not a leaf, as runs, in the order
+    of its fields; a's coin c of ``_ONE_B`` is the region [c, c + 1)."""
+    kind = state[0]
+    if kind <= _NESTED:
+        return (state[1:],)
+    if kind == _ONE_B:
+        return (state[1:3], (state[3], state[3] + 1))
+    return (state[1:3], state[3:])
+
+
+# Where a canonical state lies among the real coins: (split, t0, t1) puts
+# each coin x of the canonical state at x + t0 if x < split, else x + t1.
+_Offsets = tuple[int, int, int]
+
+
+def _canon(state: _State) -> tuple[_State, _Offsets]:
+    """The canonical form of ``state``, which is not a leaf, and its offsets.
+
+    The canonical form keeps the kind, the region sizes and their order, and
+    places the regions from coin 1 on, one coin apart: the lower one ends
+    below ``split`` and the upper one starts there.  So each coin, and each
+    end of a run inside one region, is placed by comparing it with
+    ``split``.  A state with one region has t0 == t1.
+    """
+    kind = state[0]
+    if kind <= _NESTED:
+        _, lo, hi = state
+        return (kind, 1, hi - lo + 1), (1, lo - 1, lo - 1)
+    (alo, ahi), (blo, bhi) = _regions(state)
+    if alo < blo:
+        split = ahi - alo + 2
+        a, b = (1, split - 1), (split, split + bhi - blo)
+        offsets = split, alo - 1, blo - split
+    else:
+        split = bhi - blo + 2
+        a, b = (split, split + ahi - alo), (1, split - 1)
+        offsets = split, blo - 1, alo - split
+    # ``_ONE_B`` keeps only the first coin of its second region, a's coin.
+    return (kind, *a, *b)[: len(state)], offsets
+
+
+def _at(coins: tuple[int, ...], offsets: _Offsets) -> tuple[int, ...]:
+    """The real coins of ``coins``, coins or ends of runs of a canonical
+    state placed by ``offsets``."""
+    split, t0, t1 = offsets
+    return tuple([x + t0 if x < split else x + t1 for x in coins])
+
+
+@lru_cache(maxsize=1 << 12)
+def _step(state: _State, o: int) -> tuple[_State | None, _Offsets | None]:
+    """The canonical form of ``_advance(state, o)``, for a canonical
+    ``state``, and its offsets among the coins of ``state``; or the leaf or
+    None that ``_advance`` gives, with None.  Memoised: the trees at
+    n = 4096 have 97 and 89 canonical states that are not leaves, so the
+    runs of one size take the same steps again and again; the bound holds
+    all of their steps."""
+    after = _advance(state, o)
+    if after is None or after[0] == _FOUND:
+        return after, None
+    return _canon(after)
+
+
 def _follow(state: _State, ask: Scale) -> tuple[int, int]:
     # Weigh each state's query through ``ask`` until a leaf; a rejected
-    # reading raises.
+    # reading raises.  Each step is taken on a canonical state: its runs
+    # are placed among the real coins before they are weighed (``_at``,
+    # written out, as this loop runs once per weighing), and ``_step`` gives
+    # the next one.  Its lower region starts at coin 1 + u0 of this state
+    # and its upper one at coin s + u1, each inside one of this state's
+    # regions; where those coins land gives its offsets.
+    state, (split, t0, t1) = _canon(state)
     while True:
-        o = ask(_query(state))
-        after = _advance(state, o)
-        if after is None:
-            if state[0] == _PI1 or state[0] == _PI2:
-                _, alo, ahi, blo, bhi = state
-                raise InternalContractError(
-                    f"weighed {o} in a joint round on "
-                    f"[{alo}, {ahi}), [{blo}, {bhi})"
-                )
-            w = 2 if state[0] <= _NESTED else 1
-            raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
-        if after[0] == _FOUND:
-            return after[1], after[2]
+        runs = _query(state)
+        if len(runs) == 1:
+            ((lo, hi),) = runs
+            t = t0 if lo < split else t1
+            runs = ((lo + t, hi + t),)
+        else:
+            (alo, ahi), (blo, bhi) = runs
+            ta = t0 if alo < split else t1
+            tb = t0 if blo < split else t1
+            runs = ((alo + ta, ahi + ta), (blo + tb, bhi + tb))
+        o = ask(runs)
+        after, inner = _step(state, o)
+        if inner is None:
+            if after is None:
+                kind = state[0]
+                if kind == _PI1 or kind == _PI2:
+                    alo, ahi, blo, bhi = _at(state[1:], (split, t0, t1))
+                    raise InternalContractError(
+                        f"weighed {o} in a joint round on "
+                        f"[{alo}, {ahi}), [{blo}, {bhi})"
+                    )
+                w = 2 if kind <= _NESTED else 1
+                raise InternalContractError(f"w(s)={w} but weighed {o} on a half")
+            p, q = _at(after[1:], (split, t0, t1))
+            return p, q
         state = after
+        s, u0, u1 = inner
+        t0, t1 = (
+            u0 + (t0 if 1 + u0 < split else t1),
+            u1 + (t0 if s + u1 < split else t1),
+        )
+        split = s
 
 
 def _proposed_core(n: int, ask: Scale) -> tuple[int, int]:

@@ -27,7 +27,7 @@ returned (p, q)", the walk checks every edge, from a parent that weighs
 * a leaf child's support (p, q) lies inside a block of the parent, has
   p <= q, and reads o;
 
-and after the merge, that the leaves number n + C(n, 2).
+and after the walk, that the leaves number n + C(n, 2).
 
 Why that is enough: a leaf's support lies in its parent's set and reads
 the parent's reading, and so does every support in the set of a state that
@@ -38,48 +38,51 @@ different outcomes of the same runs, so their supports are distinct
 configurations, and with the right count they are all of them.  Run on any
 configuration c, a core asks the root's runs and reads what c's leaf path
 reads there, and so on down: the run follows that path and returns c,
-after as many weighings as the path is long.  The argument does not assume
-that ``_shape`` is exact, only that the root's set is right: a wrong set
-can make a check fail and the walk raise, but never let a wrong tree pass.
-The tests check that ``_shape`` is exact.
+after as many weighings as the path is long.  This part of the argument
+does not assume that ``_shape`` is exact, only that the root's set is
+right: a wrong set can make a check fail and the walk raise, but never let
+a wrong tree pass.
 
-``exhaustive_stats`` checks the root's edges itself and then walks each
-child's subtree, except where the child is the root of a size already
-walked in the same ``worker_pool`` block.  The root (kind, 1, n + 1) of
-n >= 4 coins reads 2 into (kind, 1, n//2 + 1), the root of n//2 coins,
-and ``_shape`` gives that child the set ``_top(n//2)``, the one the walk
-of n//2 starts from; so every edge and check below it is exactly that
-walk.  Its partial, kept once its leaves passed the count check, is added
-one weighing deeper instead.  The kept partials die with the block, so a
-call outside any block walks its whole tree.
+The tree is walked as the cores step it, on canonical states
+(``strategies._canon``): a state's regions placed from coin 1 on, in their
+order, one coin apart, with offsets that place them back among the real
+coins.  A core weighs the placed runs of a canonical state's query, and
+the canonical form of its child, placed by the composed offsets, is the
+next state.  So a real node is its canonical state with each region
+translated on its own.  The placement step of the induction: each run of a
+state's query lies inside one of its regions, which the walk checks, and
+each child's region lies inside one of its parent's, since the child's
+blocks cover its regions and lie inside its parent's blocks, which lie
+inside the parent's regions.  So translating each region on its own moves
+each run of a query with the coins of the state's set that it holds, and
+keeps every reading: each check holds at a real node exactly when it holds
+at its canonical state.  This step takes from ``_shape``, beyond the
+root's set, that a state's blocks cover its regions, lie inside them and
+move with them; its code says so, and the tests check that it is exact at
+n <= 64.
 
-Work spreads over processes by subtrees.  A size walks the children left
-to walk in the calling process, in the order one walk of the root pops
-them, when it has one worker or when their subtrees hold fewer than
-``_POOL_MIN_CONFIGS`` configurations.  Otherwise they are expanded one
-level at a time, each edge checked as the walk checks it, until the
-frontier holds at least four states per worker, and each job is one
-frontier state with its depth.  Partial records hold integer sums, which
-merge exactly in any order, and the mean only becomes a rational at the
-end.  ``_run_range``, which runs the cores on a range of configurations,
-is kept as the per-configuration reference.
+So the walk checks each canonical state's edges once, however often the
+real tree meets it.  It keeps, for each canonical state, the partial sums
+of the leaves below it, with each depth counted from the state and each
+δ = q - p read in its coordinates: a leaf below a state of two regions has
+a coin in each, so its δ one state up is its δ plus the gap that the
+child's offsets put between the regions.  The memo lives for one call.
+The root's edges are checked against the root's set.  The walk carries the
+real offsets of its path, so a failed check names the real coins of its
+edge; and since a state met again stands for a subtree that passed, the
+first failure met is the first of the real tree, taken state by state with
+reading 2 first.  ``_run_range``, which runs the cores on a range of
+configurations, is kept as the per-configuration reference.
 
-A CLI run opens one ``worker_pool`` around all of its sizes, and every
-``exhaustive_stats`` call inside it sends its jobs to that one pool and
-reuses the sizes walked before it; a call outside any ``worker_pool``
-opens a pool for itself.  ``cross_check`` computes its analytic side first
-and then runs the strategies in turn, so a failed proposed walk returns
-before any nested job is sent.  The pool never outlives the block that
-opened it.
+``cross_check`` computes its analytic side first and then runs the
+strategies in turn, so a failed proposed walk raises before the nested
+one starts.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -101,11 +104,15 @@ from .strategies import (
     _FOUND,
     _NESTED,
     _PROPOSED,
+    _Offsets,
     _State,
     _advance,
+    _at,
+    _canon,
     _nested_core,
     _proposed_core,
     _query,
+    _regions,
     _root,
     _shape,
 )
@@ -117,7 +124,6 @@ __all__ = [
     "FitResult",
     "exhaustive_stats",
     "cross_check",
-    "worker_pool",
     "fit_loglinear",
 ]
 
@@ -184,24 +190,17 @@ class FitResult:
     residual_max: float
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _check_threads(threads: int | None) -> None:
+    """Reject a bad ``threads``, or, when it is None, a bad CW_THREADS.
 
-
-def _resolve_threads(threads: int | None) -> int:
-    """Worker count: ``threads``, else CW_THREADS, else every usable CPU.
-
-    The count is clamped to the CPUs this process may run on, so a large
-    request never forks more workers than can run at once.
+    Both are accepted for compatibility, and checked, but have no effect:
+    each tree is walked in the calling process.
     """
     name = "threads"
     if threads is None:
         env = os.environ.get("CW_THREADS")
         if env is None:
-            return _usable_cpus()
+            return
         name, threads = "CW_THREADS", env
         try:
             threads = int(env)
@@ -209,57 +208,9 @@ def _resolve_threads(threads: int | None) -> int:
             pass  # left a str, which the one check below rejects
     if type(threads) is not int or threads < 1:
         raise InvalidSizeError(f"{name} must be an integer >= 1, got {threads!r}")
-    return min(threads, _usable_cpus())
 
 
 _Partial = tuple[int, int, int, dict[int, list[int]]]
-
-
-# The open ``worker_pool``: (workers, executor, kept), no executor for one
-# worker; ``kept`` maps the root state of each size walked in the block to
-# its partial.
-_open_pool: (
-    tuple[int, ProcessPoolExecutor | None, dict[_State, _Partial]] | None
-) = None
-
-# A size whose walked part holds fewer configurations than this is walked
-# in the calling process, not sent to the pool.  With n//2 kept, the part
-# is 6,176 configurations at n = 128 and 24,640 at n = 256; whole
-# `verify --l-max 8 --threads 2` runs on two CPUs took as long with this
-# anywhere from 2,048 to 16,384, and a run up to n = 128 starts no process.
-_POOL_MIN_CONFIGS = 16384
-
-
-@contextmanager
-def worker_pool(threads: int | None = None) -> Iterator[None]:
-    """Share one worker pool, and the sizes already walked, among every
-    exhaustive run inside the block.
-
-    The worker count is resolved once, as for ``exhaustive_stats``; with one
-    worker no process starts, and with more the workers start with the
-    first job that a size sends to the pool.  A block opened inside another
-    checks ``threads`` and joins the outer pool.  On leaving the block the
-    kept sizes are dropped and the pool is
-    shut down, and when an exception leaves it (a failed check, a broken
-    pool, Ctrl-C) its queued jobs are cancelled first.  The pool never
-    outlives the block, so its workers never run code older than the call
-    that opened it.
-    """
-    global _open_pool
-    workers = _resolve_threads(threads)
-    if _open_pool is not None:
-        yield
-        return
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    _open_pool = workers, executor, {}
-    finished = False
-    try:
-        yield
-        finished = True
-    finally:
-        _open_pool = None
-        if executor is not None:
-            executor.shutdown(cancel_futures=not finished)
 
 
 def _run_range(n: int, strategy: str, lo: int, hi: int) -> _Partial:
@@ -341,7 +292,9 @@ def _fits(blocks: _Blocks, runs: Runs, o: int, shape: _Blocks) -> bool:
 
 def _reach(state: _State | None, p: int, q: int) -> tuple[int, ...] | None:
     # The support where the run of (p, q) from ``state`` ends, or None if a
-    # state on the way rejects its reading.
+    # state on the way rejects its reading.  It steps real states, not
+    # their canonical forms: the step function does the same on each
+    # translate, and this only names a failure.
     while state is not None and state[0] != _FOUND:
         state = _advance(state, weigh_runs(p, q, _query(state)))
     return None if state is None else state[1:]
@@ -368,12 +321,25 @@ def _failure(
 
 
 def _children(
-    n: int, strategy: str, state: _State, blocks: _Blocks
+    n: int, strategy: str, state: _State, offsets: _Offsets, blocks: _Blocks
 ) -> list[tuple[_State, _Blocks | None]]:
-    """The children of ``state``, whose set is ``blocks``, each with its own
-    set (None for a leaf), once each edge has passed its checks; else
-    ``InternalContractError``."""
+    """The children of the canonical ``state``, whose set is ``blocks``,
+    each with its own set (None for a leaf), once each run of its query
+    lies inside one of its regions and each edge has passed its checks;
+    else ``InternalContractError``, naming the real coins that ``offsets``
+    places the state at."""
     runs = _query(state)
+    regions = _regions(state)
+    for run in runs:
+        if not any(rlo <= run[0] and run[1] <= rhi for rlo, rhi in regions):
+            lo, hi = _at(run, offsets)
+            named = ", ".join(
+                "[{}, {})".format(*_at(region, offsets)) for region in regions
+            )
+            raise InternalContractError(
+                f"{strategy} weighs [{lo}, {hi}) outside each of the regions "
+                f"{named} of n={n}"
+            )
     children = []
     for o in _READINGS:
         child = _advance(state, o)
@@ -389,105 +355,78 @@ def _children(
             shape = _shape(child)
             ok = _fits(blocks, runs, o, shape)
         if not ok:
-            raise InternalContractError(_failure(n, strategy, blocks, runs, o, child))
+            raise InternalContractError(_failure(
+                n,
+                strategy,
+                tuple(_at(block, offsets) for block in blocks),
+                tuple(_at(run, offsets) for run in runs),
+                o,
+                child[:1] + _at(child[1:], offsets),
+            ))
         children.append((child, shape))
     return children
 
 
-def _frontier(
+def _walk(
     n: int,
     strategy: str,
-    jobs: int,
-    level: list[tuple[_State, _Blocks | None, int]] | None = None,
-) -> list[tuple[_State, int]]:
-    """The states one level of the tree below ``level`` (by default the
-    root) at a time, each with its depth, until there are at least ``jobs``
-    of them or every one is a leaf.  Their subtrees split the leaves below
-    ``level`` between them.  Each edge on the way is checked as ``_walk``
-    checks it."""
-    if level is None:
-        level = [(_root(_ROOTS[strategy], n), _top(n), 0)]
-    while len(level) < jobs:
-        below = []
-        for state, blocks, depth in level:
-            if blocks is None:
-                below.append((state, blocks, depth))
-                continue
-            for child, shape in _children(n, strategy, state, blocks):
-                below.append((child, shape, depth + 1))
-        if len(below) == len(level):
-            break
-        level = below
-    return [(state, depth) for state, _, depth in level]
-
-
-def _walk(n: int, strategy: str, state: _State, depth: int) -> _Partial:
-    """Walk the subtree below ``state``, at ``depth`` weighings from the
-    root; return the exact partial sums of its leaves, as ``_run_range``
-    does for a range.
-
-    The walk branches on every reading 0, 1 or 2 that a state accepts, and
-    checks each edge below ``state`` as ``_children`` does (see the module
-    docstring); a failed check raises ``InternalContractError``.  The edge
-    into ``state``, which is never the root, is ``_children``'s to check.
-    A leaf's depth is its weighing count.
-    """
-    if state[0] == _FOUND:
-        return 1, depth, depth, {state[2] - state[1]: [depth, 1]}
+    state: _State,
+    offsets: _Offsets,
+    blocks: _Blocks,
+    memo: dict[_State, _Partial],
+) -> _Partial:
+    """Check each edge below the canonical ``state``, whose set is
+    ``blocks`` and which ``offsets`` places among the real coins; return the
+    exact partial sums of the leaves below it, as ``_run_range`` does for a
+    range, with each depth counted from ``state`` and each δ read in its
+    coordinates.  A state met again is read from ``memo`` (see the module
+    docstring)."""
+    part = memo.get(state)
+    if part is not None:
+        return part
     count = 0
     total = 0
     worst = 0
-    per_delta: dict[int, list[int]] = {}
-    stack = [(state, _shape(state), depth)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        state, blocks, depth = pop()
-        # ``_children``, written out here because this loop runs once per
-        # node: a leaf is counted where it is found, and never pushed.
-        runs = _query(state)
-        depth += 1
-        for o in _READINGS:
-            child = _advance(state, o)
-            if child is None:
-                continue
-            if child[0] != _FOUND:
-                shape = _shape(child)
-                if not _fits(blocks, runs, o, shape):
-                    raise InternalContractError(
-                        _failure(n, strategy, blocks, runs, o, child)
-                    )
-                push((child, shape, depth))
-                continue
-            # A leaf's edge, as ``_children`` checks it.
-            _, p, q = child
-            for i0, i1, j0, j1 in blocks:
-                if (
-                    i0 <= p < i1
-                    and j0 <= q < j1
-                    and p <= q
-                    and weigh_runs(p, q, runs) == o
-                ):
-                    break
-            else:
-                raise InternalContractError(
-                    _failure(n, strategy, blocks, runs, o, child)
-                )
-            count += 1
-            total += depth
-            if depth > worst:
-                worst = depth
-            cell = per_delta.get(q - p)
-            if cell is None:
-                per_delta[q - p] = [depth, 1]
-            else:
-                cell[0] += depth
-                cell[1] += 1
-    return count, total, worst, per_delta
+    cells: dict[int, list[int]] = {}
+    for child, shape in reversed(_children(n, strategy, state, offsets, blocks)):
+        if shape is None:
+            below = 1, 0, 0, {child[2] - child[1]: [0, 1]}
+            shift = 0
+        else:
+            child, (s, u0, u1) = _canon(child)
+            # Each of its regions' offsets: where its first coin lands,
+            # less where it starts.
+            r0, r1 = _at((1 + u0, s + u1), offsets)
+            below = _walk(
+                n, strategy, child, (s, r0 - 1, r1 - s), _shape(child), memo
+            )
+            # A leaf below a state of two regions has one coin in each.
+            shift = u1 - u0
+        # One weighing deeper, and δ read in this state's coordinates.
+        count += below[0]
+        total += below[1] + below[0]
+        worst = max(worst, below[2] + 1)
+        for delta, (dtotal, dcount) in below[3].items():
+            cell = cells.setdefault(delta + shift, [0, 0])
+            cell[0] += dtotal + dcount
+            cell[1] += dcount
+    memo[state] = part = count, total, worst, cells
+    return part
 
 
-def _worker(job: tuple[int, str, _State, int]) -> _Partial:
-    return _walk(*job)
+def _tree(n: int, strategy: str) -> _Partial:
+    """Walk the decision tree of ``strategy`` on n coins (see the module
+    docstring), with a memo that lives for this call; return the exact
+    partial sums of its leaves, once they number n + C(n, 2).  It takes any
+    n >= 2, past the enumeration cap too."""
+    root, offsets = _canon(_root(_ROOTS[strategy], n))
+    part = _walk(n, strategy, root, offsets, _top(n), {})
+    if part[0] != config_count(n):
+        raise InternalContractError(
+            f"{strategy} reached {part[0]} leaves of n={n}, not the "
+            f"{config_count(n)} configurations"
+        )
+    return part
 
 
 def exhaustive_stats(
@@ -496,84 +435,31 @@ def exhaustive_stats(
     """Earn ``strategy``'s statistics on every configuration of n coins.
 
     The walk of the strategy's decision tree (see the module docstring)
-    visits one leaf per configuration, whose depth is that configuration's
-    weighing count, and raises ``InternalContractError`` when an edge fails
-    its checks or the leaves are not n + C(n, 2).
-    Both strategies take every n that passes ``model.require_enumerable``
-    (any 2 <= n <= 2**ENUMERATION_CAP_L, else ``TooLargeError`` before any
-    worker starts).  ``l`` is log2 n for a power of two and None otherwise.
-    Statistics are exact rationals; partials merge exactly, so the result is
-    independent of partitioning.
+    stands for one leaf per configuration, whose depth is that
+    configuration's weighing count, and raises ``InternalContractError``
+    when a check fails or the leaves are not n + C(n, 2).  Both strategies
+    take every n that passes ``model.require_enumerable`` (any
+    2 <= n <= 2**ENUMERATION_CAP_L, else ``TooLargeError``).  ``l`` is
+    log2 n for a power of two and None otherwise.  Statistics are exact
+    rationals.
 
-    ``threads`` defaults to CW_THREADS or the usable CPUs, and is clamped to
-    the usable CPUs.  Inside an open ``worker_pool`` (a CLI run opens one
-    for all its sizes and both strategies) the call uses that pool with its
-    worker count, and adds the kept partial of n//2 coins, if that size was
-    walked in the block, in place of walking it again; outside one, a pool
-    is opened for this call.  The root's children left to walk are walked
-    in this process with one worker, or when they hold fewer than
-    ``_POOL_MIN_CONFIGS`` configurations; else each job is the subtree
-    below one state of a frontier of at least four states per worker.
-
-    ``runtime_s`` is the wall time of this call.  The pool's workers start
-    with its first job, so it includes their start-up when this call is the
-    first in its block to send jobs to the pool: in a CLI run, the first
-    size big enough for the pool.  It is reported, never part of any
-    contract.
+    ``threads`` is accepted and checked, as is CW_THREADS when it is None,
+    but has no effect.  ``runtime_s`` is the wall time of the walk; it is
+    reported, never part of any contract.
     """
     if not isinstance(strategy, str) or strategy not in _CORES:
         raise ValueError(f"unknown strategy {strategy!r}")
     require_enumerable(n)
+    _check_threads(threads)
     l = n.bit_length() - 1 if n & (n - 1) == 0 else None
 
     start = time.perf_counter()
-    with worker_pool(threads):
-        workers, executor, kept = _open_pool
-        root = _root(_ROOTS[strategy], n)
-        partials = []
-        level = []
-        for child, shape in _children(n, strategy, root, _top(n)):
-            part = kept.get(child)
-            if part is None:
-                level.append((child, shape, 1))
-                continue
-            # A size walked in this block, one weighing deeper.
-            count, total, worst, cells = part
-            shifted = {
-                delta: [dtotal + dcount, dcount]
-                for delta, (dtotal, dcount) in cells.items()
-            }
-            partials.append((count, total + count, worst + 1, shifted))
-        if executor is None or (
-            config_count(n) - sum(part[0] for part in partials) < _POOL_MIN_CONFIGS
-        ):
-            # In the order one walk of the root pops them: reading 2 first.
-            for state, _, depth in reversed(level):
-                partials.append(_walk(n, strategy, state, depth))
-        else:
-            frontier = _frontier(n, strategy, workers * 4, level)
-            jobs = [(n, strategy, state, depth) for state, depth in frontier]
-            partials += executor.map(_worker, jobs)
+    count, total, worst, cells = _tree(n, strategy)
     runtime = time.perf_counter() - start
 
-    count = sum(part[0] for part in partials)
-    if count != config_count(n):
-        raise InternalContractError(
-            f"{strategy} reached {count} leaves of n={n}, not the "
-            f"{config_count(n)} configurations"
-        )
-    total = sum(part[1] for part in partials)
-    worst = max(part[2] for part in partials)
-    merged: dict[int, list[int]] = {}
-    for part in partials:
-        for delta, (dtotal, dcount) in part[3].items():
-            cell = merged.setdefault(delta, [0, 0])
-            cell[0] += dtotal
-            cell[1] += dcount
-    kept[root] = count, total, worst, merged
     per_delta = {
         delta: (Fraction(dtotal, dcount), dcount)
-        for delta, (dtotal, dcount) in sorted(merged.items())
+        for delta, (dtotal, dcount) in sorted(cells.items())
     }
     return StatsRow(
         l=l,
@@ -598,25 +484,23 @@ def cross_check(l: int, *, threads: int | None = None) -> CrossCheckReport:
     class the analytic value and the empirical conditional mean
     legitimately disagree.  Every analytic value is
     computed first; then the strategies run in turn, proposed and then
-    nested, on one ``worker_pool`` (the open one, or one opened for this
-    call), so a failed proposed walk raises before any nested job is sent.
-    Past the enumeration cap it raises ``TooLargeError`` before any worker
-    starts.
+    nested, so a failed proposed walk raises before the nested one starts.
+    Past the enumeration cap it raises ``TooLargeError``.  ``threads`` is
+    passed on to ``exhaustive_stats``, where it has no effect.
     """
     n = _coin_count(l)
     require_enumerable(n)
-    with worker_pool(threads):
-        analytic_avg = analysis.t_ave_proposed(l)
-        nested_closed = analysis.nested_closed_forms(l)[1]
-        nested_dp = analysis.nested_tables(n).opt2[n]
-        predicted_max = analysis.t_max(l)
-        table = analysis.t_table(l)
-        # Every separation class 0 <= δ < n occurs among the configurations.
-        delta_analytic = [
-            analysis.t_given_delta(l, delta, table) for delta in range(n)
-        ]
-        proposed = exhaustive_stats(n, "proposed", threads=threads)
-        nested = exhaustive_stats(n, "nested", threads=threads)
+    analytic_avg = analysis.t_ave_proposed(l)
+    nested_closed = analysis.nested_closed_forms(l)[1]
+    nested_dp = analysis.nested_tables(n).opt2[n]
+    predicted_max = analysis.t_max(l)
+    table = analysis.t_table(l)
+    # Every separation class 0 <= δ < n occurs among the configurations.
+    delta_analytic = [
+        analysis.t_given_delta(l, delta, table) for delta in range(n)
+    ]
+    proposed = exhaustive_stats(n, "proposed", threads=threads)
+    nested = exhaustive_stats(n, "nested", threads=threads)
 
     mismatches: list[str] = []
     if analytic_avg != proposed.average:

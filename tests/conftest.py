@@ -1,9 +1,8 @@
 """Shared fixtures: the exhaustive-simulation results reused across tests.
 
-The full sweep over l = 1..10 for both strategies is the single most
-expensive artifact in the suite (about half a million leaves to check at
-l = 10), so it is computed once per session and shared by every acceptance
-criterion that consumes it.
+The full sweep over l = 1..10 for both strategies (about half a million
+leaves at l = 10) is computed once per session and shared by every
+acceptance criterion that consumes it.
 """
 
 from __future__ import annotations
@@ -36,13 +35,10 @@ def full_stats():
     n + C(n, 2); so merely constructing this fixture proves recovery
     correctness for the whole range.  The subset
     tuples of the public transcripts are pinned separately, byte for byte,
-    by the digest tests in ``test_strategies.py``.  All 20 rows share one
-    ``verify.worker_pool``, as the sizes of a CLI run do, so each size adds
-    the kept tree of the size before it instead of walking it again.
+    by the digest tests in ``test_strategies.py``.
     """
-    with verify.worker_pool():
-        return {
-            (l, strategy): verify.exhaustive_stats(1 << l, strategy)
-            for l in range(1, ACCEPTANCE_L_MAX + 1)
-            for strategy in ("proposed", "nested")
-        }
+    return {
+        (l, strategy): verify.exhaustive_stats(1 << l, strategy)
+        for l in range(1, ACCEPTANCE_L_MAX + 1)
+        for strategy in ("proposed", "nested")
+    }

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ import pytest
 from coinweigh import analysis, cli, strategies, verify
 from coinweigh.analysis import rational_str
 from coinweigh.cli import main
-from coinweigh.model import InternalContractError
 
 CSV_HEADER = "l,n,prop_avg,prop_max,nested_avg,nested_max,lb_avg,lb_max"
 
@@ -32,35 +30,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture
-def pool_log(monkeypatch):
-    """Counts the worker pools ``verify`` constructs and records, for each
-    shutdown, whether queued chunks were cancelled.  Two CPUs are reported
-    usable, so ``--threads 2`` means two workers on any machine, and every
-    size goes to the pool, however small, so a patched walk runs in the
-    workers and not in the test's process."""
-    log = {"created": 0, "cancelled": []}
-
-    class CountingPool(verify.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            log["created"] += 1
-            super().__init__(*args, **kwargs)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            log["cancelled"].append(cancel_futures)
-            super().shutdown(wait, cancel_futures=cancel_futures)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verify, "_POOL_MIN_CONFIGS", 0)
-    return log
-
-
-def assert_no_pool_survives():
-    assert verify._open_pool is None
-    assert multiprocessing.active_children() == []
 
 
 class TestTrace:
@@ -259,33 +228,7 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
-    def test_worker_crash_is_verification_failure(
-        self, capsys, monkeypatch, pool_log
-    ):
-        # Forked workers inherit the patch and die without a result.
-        monkeypatch.setattr(verify, "_walk", lambda *args: os._exit(1))
-        code, _, err = run(capsys, "verify", "--l-max", "6", "--threads", "2")
-        assert code == 1
-        assert err.startswith("verification failure:")
-        assert pool_log == {"created": 1, "cancelled": [True]}
-        assert_no_pool_survives()
-
-    def test_contract_error_in_worker_is_verification_failure(
-        self, capsys, monkeypatch, pool_log
-    ):
-        def broken(*args):
-            raise InternalContractError("planted in a worker")
-
-        monkeypatch.setattr(verify, "_walk", broken)
-        code, _, err = run(capsys, "verify", "--l-max", "6", "--threads", "2")
-        assert code == 1
-        assert err == "verification failure: planted in a worker\n"
-        assert pool_log == {"created": 1, "cancelled": [True]}
-        assert_no_pool_survives()
-
-    def test_wrong_support_is_verification_failure(
-        self, capsys, monkeypatch, pool_log
-    ):
+    def test_wrong_support_is_verification_failure(self, capsys, monkeypatch):
         # The step function ends the path of coin 1 of weight 2 at a wrong
         # leaf; only the walk uses the planted one.
         advance = verify._advance
@@ -304,11 +247,8 @@ class TestVerify:
             "verification failure: proposed failed to recover support (1, 1) "
             "of n=2: got (1, 2)\n"
         )
-        assert pool_log == {"created": 0, "cancelled": []}
 
-    def test_rejected_reading_is_verification_failure(
-        self, capsys, monkeypatch, pool_log
-    ):
+    def test_rejected_reading_is_verification_failure(self, capsys, monkeypatch):
         # The step function rejects the reading 2 of the first weighing, so
         # the walk never reaches coin 1 of weight 2: one leaf short.
         advance = verify._advance
@@ -326,7 +266,6 @@ class TestVerify:
             "verification failure: proposed reached 2 leaves of n=2, not the "
             "3 configurations\n"
         )
-        assert pool_log == {"created": 0, "cancelled": []}
 
     def test_analytic_mismatch_fails_and_later_sizes_run(self, capsys, monkeypatch):
         # The analytic average is wrong at l = 2 only: that size fails with
@@ -362,7 +301,7 @@ class TestVerify:
             "proposed average: analytic 16/5 != exhaustive 11/5"
         ]
 
-    def test_interrupt_exits_130(self, capsys, monkeypatch, pool_log):
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
@@ -370,28 +309,34 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--l-max", "2")
         assert code == 130
         assert err == "interrupted\n"
-        assert pool_log == {"created": 1, "cancelled": [True]}
-        assert_no_pool_survives()
 
-    def test_bad_threads_usage_error(self, capsys, pool_log):
+    def test_bad_threads_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--l-max", "4", "--threads", "0")
         assert code == 2
         assert out == ""
         assert err == "error: threads must be an integer >= 1, got 0\n"
-        assert pool_log == {"created": 0, "cancelled": []}
 
-    @pytest.mark.parametrize("threads, pools", [("2", 1), ("1", 0)])
-    def test_one_pool_per_run(self, capsys, pool_log, threads, pools):
-        code, _, _ = run(capsys, "verify", "--l-max", "6", "--threads", threads)
-        assert code == 0
-        assert pool_log == {"created": pools, "cancelled": [False] * pools}
-        assert_no_pool_survives()
-
-    @pytest.mark.parametrize("l_max, starts", [("7", False), ("8", True)])
-    def test_small_sizes_start_no_process(self, capsys, monkeypatch, l_max, starts):
-        # Up to l = 7 each size's walked part is too small for the pool, so
-        # a two-worker run walks it in this process and forks no worker.
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--l-max", "6", "--threads", "1"],
+            ["verify", "--l-max", "6", "--threads", "2"],
+            ["verify", "--l-max", "7", "--threads", "2"],
+            ["verify", "--l-max", "8", "--threads", "2"],
+            ["sweep", "--l-max", "9", "--out"],
+            ["sweep", "--l-max", "6", "--simulate", "--threads", "2", "--out"],
+        ],
+        ids=[
+            "verify-l6-threads1",
+            "verify-l6-threads2",
+            "verify-l7-threads2",
+            "verify-l8-threads2",
+            "sweep",
+            "sweep-simulate-threads2",
+        ],
+    )
+    def test_starts_no_process(self, capsys, monkeypatch, tmp_path, argv):
+        # Each tree is walked in the calling process, whatever --threads.
         started = []
         start = multiprocessing.process.BaseProcess.start
 
@@ -400,33 +345,11 @@ class TestVerify:
             start(process)
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
-        code, _, _ = run(capsys, "verify", "--l-max", l_max, "--threads", "2")
+        if argv[-1] == "--out":
+            argv = [*argv, str(tmp_path / "sim.csv")]
+        code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert bool(started) == starts
-        assert_no_pool_survives()
-
-    def test_each_state_is_walked_once_per_run(self, capsys, monkeypatch):
-        # A run up to n = 256 asks each state of the two trees of n = 256
-        # for its three readings once: the tree of each n // 2 is added, not
-        # walked again, inside the tree of n.  Walking every size whole
-        # makes 217,677 calls.  The kept sizes die with the run's block, so
-        # the two trees walked after it, outside any block, make as many
-        # calls as the run.
-        calls = [0]
-        advance = verify._advance
-
-        def counted(state, o):
-            calls[0] += 1
-            return advance(state, o)
-
-        monkeypatch.setattr(verify, "_advance", counted)
-        code, _, _ = run(capsys, "verify", "--l-max", "8", "--threads", "1")
-        assert code == 0
-        assert calls[0] == 3 * 54_485 == 163_455
-        calls[0] = 0
-        for strategy in ("proposed", "nested"):
-            verify.exhaustive_stats(256, strategy, threads=1)
-        assert calls[0] == 163_455
+        assert started == []
 
 
 class TestSweep:
@@ -497,20 +420,6 @@ class TestSweep:
         ]
 
     @pytest.mark.parametrize(
-        "argv, pools",
-        [
-            (["--l-max", "9"], 0),
-            (["--l-max", "6", "--simulate", "--threads", "2"], 1),
-        ],
-    )
-    def test_pools_started(self, capsys, tmp_path, pool_log, argv, pools):
-        out_path = tmp_path / "pools.csv"
-        code, _, _ = run(capsys, "sweep", *argv, "--out", str(out_path))
-        assert code == 0
-        assert pool_log == {"created": pools, "cancelled": [False] * pools}
-        assert_no_pool_survives()
-
-    @pytest.mark.parametrize(
         "argv",
         [
             ["--threads", "0"],
@@ -518,7 +427,7 @@ class TestSweep:
             ["--threads", "0", "--simulate"],
         ],
     )
-    def test_bad_threads_usage_error(self, capsys, tmp_path, pool_log, argv):
+    def test_bad_threads_usage_error(self, capsys, tmp_path, argv):
         out_path = tmp_path / "x.csv"
         code, out, err = run(
             capsys, "sweep", "--l-max", "4", *argv, "--out", str(out_path)
@@ -527,7 +436,6 @@ class TestSweep:
         assert out == ""
         assert err == f"error: threads must be an integer >= 1, got {argv[1]}\n"
         assert not out_path.exists()
-        assert pool_log == {"created": 0, "cancelled": []}
 
     def test_l_max_1_usage_error(self, capsys, tmp_path):
         code, _, err = run(

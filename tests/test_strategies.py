@@ -91,22 +91,15 @@ class TestProposed:
             assert_transcript_valid(config, run_proposed(config))
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
-    def test_debug_mode_contracts_hold(self, monkeypatch, n):
+    def test_debug_mode_contracts_hold(self, n):
         # At each joint round a run enters, a and b weigh 1 each, and at
         # each tie-break their lower halves weigh 1 together: weighed on
         # the true support with ``weigh_runs``, which logs nothing.
-        advance = strategies._advance
-        visited = []
-
-        def recording(state, o):
-            visited.append(state)
-            return advance(state, o)
-
-        monkeypatch.setattr(strategies, "_advance", recording)
+        root = strategies._root(strategies._PROPOSED, n)
         for config in all_configs(n):
-            visited.clear()
             assert run_proposed(config).estimate == config.weights
             scale = partial(weigh_runs, *config.positions)
+            visited, _ = passed_states(root, config.positions)
             for kind, *regions in visited:
                 if kind != strategies._PI1 and kind != strategies._PI2:
                     continue
@@ -372,6 +365,31 @@ class TestTranscriptSubsets:
             model._logged_subsets(4, [(((1, 2),), 1), (runs, 0)])
 
 
+def passed_states(root, support):
+    """The states, in real coordinates, that the run of ``support`` from
+    ``root`` passes through, and the leaf it ends at.
+
+    Each step is taken as ``_follow`` takes it, on the canonical form, and
+    the next state is placed back among the real coins with ``_at``.  The
+    runs weighed on the way must be those that ``_follow`` weighs, and it
+    must end at the same support.
+    """
+    visited = []
+    asked = []
+    state = root
+    while state[0] != strategies._FOUND:
+        visited.append(state)
+        canon, offsets = strategies._canon(state)
+        runs = tuple(strategies._at(run, offsets) for run in strategies._query(canon))
+        asked.append(runs)
+        after = strategies._advance(canon, weigh_runs(*support, runs))
+        state = after[:1] + strategies._at(after[1:], offsets)
+    ask, log = oracle(*support)
+    assert strategies._follow(root, ask) == state[1:]
+    assert [runs for runs, _ in log] == asked
+    return visited, state
+
+
 def shape_points(state):
     """Every support in ``strategies._shape(state)``'s blocks, in a list,
     so that a support in two blocks shows twice."""
@@ -385,26 +403,18 @@ def shape_points(state):
 
 class TestShape:
     @pytest.mark.parametrize("kind", [strategies._PROPOSED, strategies._NESTED])
-    def test_set_is_the_supports_whose_run_passes(self, monkeypatch, kind):
+    def test_set_is_the_supports_whose_run_passes(self, kind):
         # At every n <= 64, each state of the tree stands for exactly the
         # supports whose ``_follow`` run passes through it: the sets of a
         # state's children partition its own set.
         advance = strategies._advance
-        visited = []
-
-        def recording(state, o):
-            visited.append(state)
-            return advance(state, o)
-
-        monkeypatch.setattr(strategies, "_advance", recording)
         for n in range(2, 65):
             root = strategies._root(kind, n)
             through = {}
             for support in iter_supports(n):
-                visited.clear()
-                found = strategies._follow(root, partial(weigh_runs, *support))
-                assert found == support
-                for state in (*visited, (strategies._FOUND, *found)):
+                visited, leaf = passed_states(root, support)
+                assert leaf[1:] == support
+                for state in (*visited, leaf):
                     through.setdefault(state, set()).add(support)
             stack = [root]
             while stack:

@@ -3,7 +3,6 @@ cross-checks, and the least-squares fit helper."""
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from coinweigh.verify import (
     cross_check,
     exhaustive_stats,
     fit_loglinear,
-    worker_pool,
 )
 
 F = Fraction
@@ -40,14 +38,6 @@ def rows_equal(a, b):
         == (b.l, b.n, b.strategy, b.average, b.max_weighings, b.configs)
         and a.per_delta == b.per_delta
     )
-
-
-@pytest.fixture
-def pool_small_sizes(monkeypatch):
-    """Two usable CPUs, and every size sent to the pool however small, so
-    that tests of the pooled walk run it at small n."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verify, "_POOL_MIN_CONFIGS", 0)
 
 
 class TestExhaustiveStats:
@@ -113,10 +103,12 @@ class TestExhaustiveStats:
             exhaustive_stats(16, "proposed"), exhaustive_stats(16, "proposed")
         )
 
-    def test_parallel_merge_matches_sequential(self, pool_small_sizes):
-        sequential = exhaustive_stats(32, "proposed", threads=1)
-        parallel = exhaustive_stats(32, "proposed", threads=2)
-        assert rows_equal(sequential, parallel)
+    def test_parallel_merge_matches_sequential(self):
+        # ``threads`` has no effect.
+        assert rows_equal(
+            exhaustive_stats(32, "proposed", threads=1),
+            exhaustive_stats(32, "proposed", threads=2),
+        )
 
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("CW_THREADS", "2")
@@ -132,152 +124,6 @@ class TestExhaustiveStats:
             monkeypatch.setenv("CW_THREADS", env)
             with pytest.raises(InvalidSizeError, match="^CW_THREADS must"):
                 exhaustive_stats(4, "proposed")
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    """A stand-in for ``verify.ProcessPoolExecutor`` that starts no process.
-
-    It records each pool's size and every batch of jobs, and runs ``map`` in
-    process.  ``sent_when_read`` holds, for each batch, how many batches had
-    been sent when its first result was read.  Every size goes to the pool,
-    however small, so every size sends a batch.
-    """
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.batches = []
-            self.sent_when_read = []
-            pools.append(self)
-
-        def map(self, fn, jobs):
-            self.batches.append(jobs)
-            return self._results(fn, jobs)
-
-        def _results(self, fn, jobs):
-            self.sent_when_read.append(len(self.batches))
-            yield from map(fn, jobs)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(verify, "_POOL_MIN_CONFIGS", 0)
-    return pools
-
-
-class TestWorkerPool:
-    @pytest.mark.parametrize(
-        "from_env, has_affinity",
-        [(False, True), (True, True), (False, False)],
-    )
-    def test_worker_count_clamped_to_usable_cpus(
-        self, monkeypatch, recording_pool, from_env, has_affinity
-    ):
-        if has_affinity:
-            monkeypatch.setattr(
-                os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
-            )
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        threads = None
-        if from_env:
-            monkeypatch.setenv("CW_THREADS", "5000")
-        else:
-            threads = 5000
-        row = exhaustive_stats(64, "proposed", threads=threads)
-        assert [pool.max_workers for pool in recording_pool] == [3]
-        assert rows_equal(row, exhaustive_stats(64, "proposed", threads=1))
-
-    def test_cross_check_runs_strategies_in_turn(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        assert cross_check(4, threads=2).ok
-        [pool] = recording_pool
-        # The nested subtrees are sent only once the proposed ones are read,
-        # one strategy per batch, each batch a frontier of at least 2 * 4
-        # states.
-        assert pool.sent_when_read == [1, 2]
-        assert [
-            [(n, strategy, state, depth) for n, strategy, state, depth in jobs]
-            for jobs in pool.batches
-        ] == [
-            [
-                (16, strategy, state, depth)
-                for state, depth in verify._frontier(16, strategy, 8)
-            ]
-            for strategy in ("proposed", "nested")
-        ]
-        assert all(len(jobs) >= 8 for jobs in pool.batches)
-
-    def test_cross_check_failure_sends_no_nested_chunk(
-        self, monkeypatch, recording_pool
-    ):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        worker = verify._worker
-        proposed_jobs = []
-
-        def failing(job):
-            # Every proposed subtree but the first fails.
-            _, strategy, _, _ = job
-            if strategy == "proposed":
-                proposed_jobs.append(job)
-                if len(proposed_jobs) > 1:
-                    raise InternalContractError("planted failure")
-            return worker(job)
-
-        monkeypatch.setattr(verify, "_worker", failing)
-        with pytest.raises(InternalContractError, match="^planted failure$"):
-            cross_check(4, threads=2)
-        [pool] = recording_pool
-        assert len(pool.batches) == 1
-        assert {strategy for _, strategy, _, _ in pool.batches[0]} == {"proposed"}
-
-    def test_cross_check_computes_analytic_side_before_reading(
-        self, monkeypatch, recording_pool
-    ):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        events = []
-
-        def logged(name, fn):
-            def call(*args, **kwargs):
-                events.append(name)
-                return fn(*args, **kwargs)
-
-            return call
-
-        monkeypatch.setattr(verify, "_worker", logged("chunk", verify._worker))
-        analytic = (
-            "t_ave_proposed",
-            "nested_closed_forms",
-            "nested_tables",
-            "t_max",
-            "t_table",
-            "t_given_delta",
-        )
-        for name in analytic:
-            monkeypatch.setattr(
-                verify.analysis, name, logged(name, getattr(verify.analysis, name))
-            )
-        assert cross_check(3, threads=2).ok
-        first_chunk = events.index("chunk")
-        assert set(events[:first_chunk]) == set(analytic)
-        assert events[:first_chunk].count("t_given_delta") == 8
-        assert set(events[first_chunk:]) == {"chunk"}
-
-    def test_shared_pool_rows_match_in_process(self, pool_small_sizes):
-        cases = [
-            (1 << l, strategy)
-            for l in range(1, 7)
-            for strategy in ("proposed", "nested")
-        ] + [(n, "nested") for n in (5, 6, 7)]
-        with worker_pool(2):
-            shared = [exhaustive_stats(n, strategy) for n, strategy in cases]
-        assert verify._open_pool is None
-        for (n, strategy), row in zip(cases, shared):
-            assert rows_equal(row, exhaustive_stats(n, strategy, threads=1))
 
 
 def merge_partials(a, b):
@@ -317,75 +163,107 @@ def subtree_leaves(state):
 
 
 class TestWalk:
-    SIZES = [*range(2, 70), 100, 255, 256, 257]
+    SIZES = [*range(2, 71), 127, 128, 129, 255, 256, 257]
 
     @pytest.mark.parametrize("strategy", ["proposed", "nested"])
-    def test_matches_run_range(self, pool_small_sizes, strategy):
+    def test_matches_run_range(self, strategy):
         # The walk and the per-configuration runs give the same row at every
-        # size, in one process and on two workers.
-        with worker_pool(2):
-            pooled = [exhaustive_stats(n, strategy) for n in self.SIZES]
-        for n, row in zip(self.SIZES, pooled):
-            single = exhaustive_stats(n, strategy, threads=1)
-            assert rows_equal(single, row), n
-            reference = run_range_row(n, strategy)
+        # size.
+        for n in self.SIZES:
+            row = exhaustive_stats(n, strategy)
             assert (
-                single.configs, single.average, single.max_weighings, single.per_delta
-            ) == reference, n
+                row.configs, row.average, row.max_weighings, row.per_delta
+            ) == run_range_row(n, strategy), n
 
     @pytest.mark.parametrize("strategy", ["proposed", "nested"])
-    def test_every_edge_passes_its_checks(self, monkeypatch, strategy):
+    def test_every_edge_passes_its_checks(self, strategy):
         # Sizes that the row test above does not walk: with it, every
-        # n <= 128, and the top of the range up to 300.  Every edge passes
+        # n <= 129, and the top of the range up to 300.  Every edge passes
         # its checks (else the walk raises) and the leaves are every
         # configuration.
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        with worker_pool(2):
-            for n in [*range(70, 129), 299, 300]:
-                assert exhaustive_stats(n, strategy).configs == config_count(n)
+        for n in [*range(71, 127), 299, 300]:
+            assert exhaustive_stats(n, strategy).configs == config_count(n)
 
     @pytest.mark.parametrize("strategy", ["proposed", "nested"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 31, 64, 100])
     def test_frontier_splits_the_configurations(self, strategy, n):
-        root = strategies._root(verify._ROOTS[strategy], n)
-        assert verify._frontier(n, strategy, 1) == [(root, 0)]
-        # The states reached from the root in exactly d steps, for each d.
-        reached = [{root}]
-        for jobs in (2, 4, 8, 64, 10**6):
-            frontier = verify._frontier(n, strategy, jobs)
-            leaves = [leaf for state, _ in frontier for leaf in subtree_leaves(state)]
-            # Every configuration exactly once, under one frontier state.
+        # The states reached from the root in exactly d steps, for each d,
+        # until every one is a leaf: the subtrees below each such frontier
+        # hold every configuration exactly once.  Each state is its
+        # canonical form placed back by its offsets, and that form has its
+        # regions from coin 1 on, one coin apart.
+        frontier = [strategies._root(verify._ROOTS[strategy], n)]
+        while not all(state[0] == strategies._FOUND for state in frontier):
+            leaves = [leaf for state in frontier for leaf in subtree_leaves(state)]
             assert sorted(leaves) == sorted(iter_supports(n))
-            everything_a_leaf = all(
-                state[0] == strategies._FOUND for state, _ in frontier
-            )
-            assert len(frontier) >= jobs or everything_a_leaf
-            # Each frontier state is reached from the root in ``depth`` steps.
-            for state, depth in frontier:
-                while len(reached) <= depth:
-                    reached.append(
-                        {child for at in reached[-1] for child in children(at)}
-                    )
-                assert state in reached[depth]
+            for state in frontier:
+                if state[0] == strategies._FOUND:
+                    continue
+                canon, offsets = strategies._canon(state)
+                assert canon[:1] + strategies._at(canon[1:], offsets) == state
+                regions = sorted(strategies._regions(canon))
+                assert regions[0][0] == 1
+                if len(regions) == 2:
+                    assert regions[1][0] == regions[0][1] + 1 == offsets[0]
+            frontier = [
+                child for state in frontier for child in children(state) or [state]
+            ]
+
+    @pytest.mark.parametrize(
+        "strategy, states", [("proposed", 97), ("nested", 89)]
+    )
+    def test_each_canonical_state_is_stepped_once(
+        self, monkeypatch, strategy, states
+    ):
+        # The tree of n = 4096 has 8,390,656 leaves, but up to translating
+        # each region on its own only this many states that are not leaves:
+        # the walk asks each of them for its three readings once.
+        calls = [0]
+        advance = verify._advance
+
+        def counted(state, o):
+            calls[0] += 1
+            return advance(state, o)
+
+        monkeypatch.setattr(verify, "_advance", counted)
+        exhaustive_stats(4096, strategy)
+        assert calls[0] == 3 * states
+
+    @pytest.mark.parametrize("l", [13, 14])
+    def test_past_the_cap(self, l):
+        # The walk itself takes sizes past the enumeration cap: each leaf is
+        # one configuration, the averages are the analytic ones and the
+        # worst case is 2l - 1.
+        n = 1 << l
+        analytic = {
+            "proposed": t_ave_proposed(l),
+            "nested": nested_closed_forms(l)[1],
+        }
+        for strategy, average in analytic.items():
+            count, total, worst, _ = verify._tree(n, strategy)
+            assert count == config_count(n) == n + n * (n - 1) // 2
+            assert F(total, count) == average
+            assert worst == 2 * l - 1
 
     def test_leaf_past_the_last_coin(self, monkeypatch):
-        # Coin n + 1 of weight 2 reads 0 on every weighing, as coin n does,
-        # so only the leaf's containment in its parent's set, Π0 on weight 2
-        # on [7, 9), tells the planted leaf from the true one.
+        # Π0 on weight 2 on two coins [lo, lo + 2) ends its reading 0 at
+        # coin lo + 2, past its run: at n = 2 that is coin n + 1, which
+        # reads 0 on every weighing, as coin n does.  So only the leaf's
+        # containment in its parent's set, the root's, tells the planted
+        # leaf from the true one.
         advance = verify._advance
 
         def past_n(state, o):
-            after = advance(state, o)
-            if after == (strategies._FOUND, 8, 8):
-                return (strategies._FOUND, 9, 9)
-            return after
+            if state[0] == strategies._NESTED and state[2] - state[1] == 2 and o == 0:
+                return (strategies._FOUND, state[2], state[2])
+            return advance(state, o)
 
         monkeypatch.setattr(verify, "_advance", past_n)
         with pytest.raises(
             InternalContractError,
-            match=r"^nested failed to recover support \(8, 8\) of n=8: got \(9, 9\)$",
+            match=r"^nested failed to recover support \(2, 2\) of n=2: got \(3, 3\)$",
         ):
-            exhaustive_stats(8, "nested", threads=1)
+            exhaustive_stats(2, "nested", threads=1)
 
     def test_leaf_on_readings_no_configuration_gives(self, monkeypatch):
         # A step function that ends a reading of 3, which no scale gives, at
@@ -408,8 +286,9 @@ class TestWalk:
             exhaustive_stats(2, "proposed", threads=1)
 
 
-# Planted faults: each takes the true ``_advance`` and returns one that
-# builds a wrong tree.  ``exhaustive_stats`` must raise on every one.
+# Planted faults: each takes the true ``_advance`` (or ``_query``) and
+# returns one that builds a wrong tree.  ``exhaustive_stats`` must raise on
+# every one.
 FOUND = strategies._FOUND
 
 
@@ -464,14 +343,14 @@ def unordered_leaf(advance, n):
 
 
 def child_outside_parent(advance, n):
-    # Π0 on weight 2 on the last two coins, [n - 1, n + 1), moves to
-    # [n + 1, n + 3): it reads 0 and its runs miss the query, as the true
-    # one does, and its subtree holds three leaves, as the true one does.
+    # Π0 on weight 2 on four coins [lo, lo + 4) reads 0 into [lo + 4,
+    # lo + 6), past its run, in place of its upper half [lo + 2, lo + 4):
+    # the child reads 0 and its run misses the query, as the true one
+    # does, and its subtree holds three leaves, as the true one does.
     def planted(state, o):
-        after = advance(state, o)
-        if after == (strategies._NESTED, n - 1, n + 1):
-            return (strategies._NESTED, n + 1, n + 3)
-        return after
+        if state[0] == strategies._NESTED and state[2] - state[1] == 4 and o == 0:
+            return (strategies._NESTED, state[2], state[2] + 2)
+        return advance(state, o)
 
     return planted
 
@@ -491,72 +370,51 @@ def straddling_child(advance, n):
     return planted
 
 
+def straddling_query(query, n):
+    # Each Π1 round weighs one run from a's midpoint to b's, across the
+    # coins between the regions, in place of their lower halves.
+    def planted(state):
+        if state[0] == strategies._PI1:
+            _, alo, ahi, blo, bhi = state
+            lo, hi = sorted(((alo + ahi) // 2, (blo + bhi) // 2))
+            return ((lo, hi),)
+        return query(state)
+
+    return planted
+
+
+def recover(strategy, n, support, got):
+    return f"{strategy} failed to recover support {support} of n={n}: got {got}"
+
+
 class TestPlantedFaults:
-    # Each fault with the line that one worker raises, where the walk takes
-    # the lowest readings last; two workers meet the faults in another
-    # order.
+    # Each fault, the step that it replaces, and the line that the walk
+    # raises, at the first failed check in the order of the real tree,
+    # where the walk takes the lowest readings last.  ``threads`` has no
+    # effect on the line.
     FAULTS = [
-        (swapped_pi1, 64, "proposed", (3, 7), (2, 6)),
-        (swapped_pi2, 64, "proposed", (1, 8), (1, 7)),
-        (duplicated_subtree, 32, "proposed", (2, 4), (1, 3)),
-        (unordered_leaf, 16, "nested", (1, 2), (2, 1)),
-        (child_outside_parent, 64, "nested", (63, 63), (66, 66)),
-        (straddling_child, 40, "proposed", (1, 3), (1, 5)),
+        (swapped_pi1, "_advance", 64, "proposed", recover("proposed", 64, (3, 7), (2, 6))),
+        (swapped_pi2, "_advance", 64, "proposed", recover("proposed", 64, (1, 8), (1, 7))),
+        (duplicated_subtree, "_advance", 32, "proposed", recover("proposed", 32, (2, 4), (1, 3))),
+        (unordered_leaf, "_advance", 16, "nested", recover("nested", 16, (1, 2), (2, 1))),
+        (child_outside_parent, "_advance", 64, "nested", recover("nested", 64, (3, 3), (6, 6))),
+        (straddling_child, "_advance", 40, "proposed", recover("proposed", 40, (1, 3), (1, 5))),
+        (
+            straddling_query, "_query", 8, "proposed",
+            "proposed weighs [2, 4) outside each of the regions [1, 3), [3, 5) of n=8",
+        ),
     ]
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
-        "fault, n, strategy, support, got",
+        "fault, step, n, strategy, line",
         FAULTS,
         ids=[fault.__name__ for fault, *_ in FAULTS],
     )
-    def test_raises(
-        self, monkeypatch, pool_small_sizes, workers, fault, n, strategy, support, got
-    ):
-        monkeypatch.setattr(verify, "_advance", fault(verify._advance, n))
-        if workers == 1:
-            line = re.escape(
-                f"{strategy} failed to recover support {support} of n={n}: "
-                f"got {got}"
-            )
-        else:
-            line = (
-                rf"{strategy} failed to recover support \(\d+, \d+\) of n={n}: "
-                r"got \(\d+, \d+\)"
-            )
-        with pytest.raises(InternalContractError, match=f"^{line}$"):
-            exhaustive_stats(n, strategy, threads=workers)
-
-
-class TestKeptSizes:
-    # Inside one block each size is walked with the kept tree of n // 2 in
-    # it; outside any block each call walks its whole tree.  With two
-    # workers only n = 512 goes to the pool here; ``TestWalk`` sends every
-    # size to it.
-    SIZES = [*range(2, 71), 128, 256, 512]
-
-    @pytest.mark.parametrize("strategy", ["proposed", "nested"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_rows_equal_calls_outside_any_block(self, monkeypatch, strategy, workers):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        with worker_pool(workers):
-            kept = [exhaustive_stats(n, strategy) for n in self.SIZES]
-            assert len(verify._open_pool[2]) == len(self.SIZES)
-        for n, row in zip(self.SIZES, kept):
-            assert rows_equal(row, exhaustive_stats(n, strategy, threads=1)), n
-
-    @pytest.mark.parametrize("strategy", ["proposed", "nested"])
-    def test_kept_worst_is_one_weighing_deeper(self, strategy):
-        # The tree of n // 2 is never the deepest part of the tree of n, so
-        # no row shows its worst; a kept partial with a planted worst does.
-        with worker_pool(1):
-            half = exhaustive_stats(8, strategy)
-            kept = verify._open_pool[2]
-            root = strategies._root(verify._ROOTS[strategy], 8)
-            count, total, worst, cells = kept[root]
-            kept[root] = count, total, worst + 10, cells
-            row = exhaustive_stats(16, strategy)
-        assert row.max_weighings == half.max_weighings + 11
+    def test_raises(self, monkeypatch, threads, fault, step, n, strategy, line):
+        monkeypatch.setattr(verify, step, fault(getattr(verify, step), n))
+        with pytest.raises(InternalContractError, match=f"^{re.escape(line)}$"):
+            exhaustive_stats(n, strategy, threads=threads)
 
 
 class TestRunRange:
@@ -621,6 +479,67 @@ class TestCrossCheck:
             "nested average disagreement: closed 1/1, recursion 12/5, exhaustive 12/5",
             "max weighings: predicted 0, proposed 3, nested 3",
         )
+
+    def test_runs_strategies_in_turn(self, monkeypatch):
+        # Proposed, then nested, each through ``verify.exhaustive_stats``
+        # with ``threads`` passed on by keyword.
+        calls = []
+        stats = verify.exhaustive_stats
+
+        def logged(*args, **kwargs):
+            calls.append((args, kwargs))
+            return stats(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "exhaustive_stats", logged)
+        assert cross_check(4, threads=2).ok
+        assert calls == [
+            ((16, "proposed"), {"threads": 2}),
+            ((16, "nested"), {"threads": 2}),
+        ]
+
+    def test_failed_proposed_walk_starts_no_nested_walk(self, monkeypatch):
+        walked = []
+        tree = verify._tree
+
+        def failing(n, strategy):
+            walked.append(strategy)
+            if strategy == "proposed":
+                raise InternalContractError("planted failure")
+            return tree(n, strategy)
+
+        monkeypatch.setattr(verify, "_tree", failing)
+        with pytest.raises(InternalContractError, match="^planted failure$"):
+            cross_check(4, threads=2)
+        assert walked == ["proposed"]
+
+    def test_computes_analytic_side_first(self, monkeypatch):
+        events = []
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(verify, "_tree", logged("walk", verify._tree))
+        analytic = (
+            "t_ave_proposed",
+            "nested_closed_forms",
+            "nested_tables",
+            "t_max",
+            "t_table",
+            "t_given_delta",
+        )
+        for name in analytic:
+            monkeypatch.setattr(
+                verify.analysis, name, logged(name, getattr(verify.analysis, name))
+            )
+        assert cross_check(3, threads=2).ok
+        first_walk = events.index("walk")
+        assert set(events[:first_walk]) == set(analytic)
+        assert events[:first_walk].count("t_given_delta") == 8
+        assert events[first_walk:] == ["walk", "walk"]
 
     def test_l2_per_delta_report(self):
         report = cross_check(2)
