@@ -20,10 +20,16 @@ on: a closure over the support that logs every weighing, so the strategy
 sees the readings and never the support.  ``weigh`` is the independent
 dense scale on a tuple of positions (see ``Subset``).
 
-Each representation has one writer: ``_dense`` builds the weight vector of
-a support, for every ``Configuration`` and transcript estimate, and
-``_logged_subsets`` turns an oracle log into a transcript's subsets, each a
-slice of one shared tuple of positions, proved a ``Subset`` in O(runs).
+Each representation has one writer, and both are memoised: ``_dense``
+builds the weight vector of a support, for every ``Configuration`` and
+transcript estimate, and ``_logged_subsets`` turns an oracle log into a
+transcript's subsets, each made by ``_subset`` from its runs as slices of
+one shared tuple of positions, proved a ``Subset`` in O(runs).  The
+strategies are deterministic, so runs at one n ask the same large queries
+near the root, and a configuration's weights are built again for its
+estimate.  Each such O(n) tuple is built once while it stays in its memo:
+configurations and transcripts of different runs may share ``Subset``
+objects and weight tuples, which is safe because both are immutable.
 
 Which coin counts can be enumerated is decided in one place,
 ``require_enumerable``: every n with 2 <= n <= 2**ENUMERATION_CAP_L.  Both
@@ -36,6 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import lru_cache
 
 # Exhaustive enumeration is supported up to n = 2**ENUMERATION_CAP_L; past
 # that only the analytic (closed form / recursion) path is meaningful.
@@ -102,8 +109,11 @@ def require_enumerable(n: int) -> None:
         )
 
 
+@lru_cache(maxsize=8)
 def _dense(n: int, p: int, q: int) -> tuple[int, ...]:
     # The weights of n coins with the checked support (p, q); coin p == q weighs 2.
+    # Memoised: a run builds its configuration and then its estimate from the
+    # same support, and the tuple is immutable, so both may share it.
     w = [0] * n
     w[p - 1] += 1
     w[q - 1] += 1
@@ -241,9 +251,10 @@ class Subset(tuple):
     Build one ``Subset`` for a subset weighed many times; a plain tuple is
     checked again on every call.  Equality and hashing are those of the
     tuple, and slicing or adding one gives a plain tuple.
-    ``tuple.__new__(Subset, ...)`` skips the check; only ``_logged_subsets``
-    makes one that way, after proving the invariant from the runs of its
-    query.
+    ``tuple.__new__(Subset, ...)`` skips the check; only ``_subset`` makes
+    one that way, after proving the invariant from the runs of its query.
+    It is memoised, so transcripts of different runs may share one
+    ``Subset`` object; being an immutable tuple, it is safe to share.
     """
 
     __slots__ = ()
@@ -260,36 +271,46 @@ class Subset(tuple):
 
 # _POSITIONS[k] == k for k = 0..n, for the largest n seen so far.  A larger n
 # replaces it with a longer tuple of the same form, so callers holding
-# different versions slice the same values.
+# different versions slice the same values, and a ``_subset`` entry does not
+# depend on the n it was made for.
 _POSITIONS: tuple[int, ...] = ()
+
+
+@lru_cache(maxsize=1 << 9)
+def _subset(runs: Runs) -> Subset:
+    # The ``Subset`` of a query's runs, once ``_logged_subsets`` has checked
+    # that the last run ends by n + 1 and grown _POSITIONS past n.  Runs that
+    # are nonempty, ascending and disjoint from 1 on slice _POSITIONS (where
+    # _POSITIONS[k] == k) into exactly what ``Subset()`` checks for, so that
+    # check is proved here in O(runs), not rerun.  A rejected query raises
+    # and so is not cached.
+    positions = _POSITIONS
+    subset: tuple[int, ...] = ()
+    prev = 1
+    for lo, hi in runs:
+        if not prev <= lo < hi:
+            raise InternalContractError(
+                f"runs {runs!r} are not nonempty, ascending and disjoint from 1 on"
+            )
+        subset += positions[lo:hi]
+        prev = hi
+    return tuple.__new__(Subset, subset)
 
 
 def _logged_subsets(
     n: int, log: list[tuple[Runs, int]]
 ) -> tuple[tuple[Subset, int], ...]:
-    # Each logged query of n coins as (Subset, outcome).  Runs that are
-    # nonempty, ascending and disjoint within [1, n + 1) slice _POSITIONS
-    # (where _POSITIONS[k] == k) into exactly what ``Subset()`` checks for,
-    # so that check is proved here in O(runs), not rerun.
+    # Each logged query of n coins as (Subset, outcome).  The last run must
+    # end in (1, n + 1] before the memo is asked, so a run past n never
+    # slices a short _POSITIONS into a cached entry.
     global _POSITIONS
-    positions = _POSITIONS
-    if len(positions) <= n:
-        positions = _POSITIONS = tuple(range(n + 1))
-    wrap = tuple.__new__
+    if len(_POSITIONS) <= n:
+        _POSITIONS = tuple(range(n + 1))
     subsets = []
     for runs, outcome in log:
-        subset: tuple[int, ...] = ()
-        prev = 1
-        for lo, hi in runs:
-            if not prev <= lo < hi:
-                raise InternalContractError(
-                    f"runs {runs!r} are not nonempty, ascending and disjoint from 1 on"
-                )
-            subset += positions[lo:hi]
-            prev = hi
-        if not 1 < prev <= n + 1:
+        if not runs or not 1 < runs[-1][1] <= n + 1:
             raise InternalContractError(f"runs {runs!r} are empty or pass coin {n}")
-        subsets.append((wrap(Subset, subset), outcome))
+        subsets.append((_subset(runs), outcome))
     return tuple(subsets)
 
 

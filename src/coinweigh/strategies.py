@@ -49,7 +49,9 @@ edge against ``_shape(state)``, the set of supports whose run passes
 through a state (see ``verify``).  ``run_proposed`` and ``run_nested``
 share one run body, which turns the log and the support into a
 ``Transcript`` of ``model.Subset`` queries and a dense estimate, both
-built by ``model`` (see its docstring).
+built by ``model``'s memoised writers (see its docstring).  So transcripts
+of different runs may share ``Subset`` objects and estimate tuples, which
+is safe because both are immutable.
 
 ``check_nested`` decides whether a finished transcript obeys the nested
 discipline (each query refines a single currently-open region).  The proposed

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 from functools import partial
 
 import pytest
@@ -335,6 +336,9 @@ class TestTranscriptSubsets:
             assert_subsets_sliced(runner(config), queries, n)
 
     def test_positions_grow_and_are_reused(self, monkeypatch):
+        # Entries made before the reset, from a longer _POSITIONS, are still
+        # the runs' positions afterwards, and are shared by later runs.
+        before = run_nested(Configuration.type_two(8, 3, 8))
         monkeypatch.setattr(model, "_POSITIONS", ())
         for n in (5000, 8):
             config = Configuration.type_two(n, 3, n)
@@ -344,6 +348,32 @@ class TestTranscriptSubsets:
             assert_subsets_sliced(transcript, queries, n)
             # Grown for n = 5000, then reused, not shrunk, for n = 8.
             assert len(model._POSITIONS) == 5001
+        assert transcript.queries == before.queries
+        assert all(
+            now is then
+            for (now, _), (then, _) in zip(transcript.queries, before.queries)
+        )
+
+    def test_subsets_match_runs_at_cap(self):
+        # 200 seeded supports at n = 4096, type I among them: far more
+        # distinct queries than the 512 entries of _subset's memo, so
+        # entries are evicted and made again while the sample runs.
+        n = 4096
+        rng = random.Random(28)
+        supports = [(pos, pos) for pos in rng.sample(range(1, n + 1), 10)]
+        supports += [tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(190)]
+        model._subset.cache_clear()
+        for p, q in supports:
+            config = Configuration.type_one(n, p) if p == q else Configuration.type_two(n, p, q)
+            for runner, core in (
+                (run_proposed, strategies._proposed_core),
+                (run_nested, strategies._nested_core),
+            ):
+                transcript = runner(config)
+                assert transcript.estimate == config.weights
+                queries, _ = logged(core, n, p, q)
+                assert_subsets_sliced(transcript, queries, n)
+        assert model._subset.cache_info().misses > model._subset.cache_info().maxsize
 
     @pytest.mark.parametrize(
         "runs",
@@ -363,6 +393,36 @@ class TestTranscriptSubsets:
         monkeypatch.setattr(model, "_POSITIONS", tuple(range(64)))
         with pytest.raises(InternalContractError):
             model._logged_subsets(4, [(((1, 2),), 1), (runs, 0)])
+
+    @pytest.mark.parametrize(
+        "runs", [((1, 6),), ((1, 3), (2, 4))], ids=["past-n", "overlapping"]
+    )
+    def test_rejected_runs_leave_no_entry(self, monkeypatch, runs):
+        # _POSITIONS holds exactly 0..4, so a run past n = 4 that reached
+        # the memo would be cut short to (1, 2, 3, 4) and kept for n = 8.
+        monkeypatch.setattr(model, "_POSITIONS", tuple(range(5)))
+        model._subset.cache_clear()
+        with pytest.raises(InternalContractError):
+            model._logged_subsets(4, [(runs, 0)])
+        assert model._subset.cache_info().currsize == 0
+        ((subset, outcome),) = model._logged_subsets(8, [(((1, 6),), 1)])
+        assert type(subset) is Subset
+        assert (subset, outcome) == (Subset(range(1, 6)), 1)
+
+    def test_dense_entries_are_per_support(self):
+        # The type-I key (p, p) and the type-II key (p, q) at one n are
+        # distinct entries, each equal to a fresh build.
+        n = 16
+        for p, q, weights in (
+            (5, 5, [0] * 4 + [2] + [0] * 11),
+            (5, 9, [0] * 4 + [1] + [0] * 3 + [1] + [0] * 7),
+        ):
+            dense = model._dense(n, p, q)
+            fresh = model._dense.__wrapped__(n, p, q)
+            assert type(dense) is tuple and dense == fresh == tuple(weights)
+            assert model._dense(n, p, q) is dense
+            built = Configuration(weights).weights
+            assert type(built) is tuple and built == fresh
 
 
 def passed_states(root, support):
