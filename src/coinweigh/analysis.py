@@ -446,6 +446,22 @@ class Bounds:
     ave_lb: float
 
 
+def _past_binary64(bits: int) -> InvalidSizeError:
+    return InvalidSizeError(
+        f"need n + 1 <= {sys.float_info.max!r} for binary64 bounds, "
+        f"got n of {bits} bits"
+    )
+
+
+def _bounds_size(l: int) -> int:
+    """n = 2**l for ``lower_bounds``, with l checked before 2**l is built:
+    n + 1 fits in binary64 up to l = 1023, and a huge 2**l would not fit in
+    memory."""
+    if l >= sys.float_info.max_exp:
+        raise _past_binary64(l + 1)
+    return _coin_count(l)
+
+
 def lower_bounds(n: int) -> Bounds:
     """Worst-case and average-case lower bounds for n coins.
 
@@ -459,10 +475,7 @@ def lower_bounds(n: int) -> Bounds:
     if type(n) is not int or n < 2:
         raise InvalidSizeError(f"need n >= 2, got {n!r}")
     if n + 1 > sys.float_info.max:
-        raise InvalidSizeError(
-            f"need n + 1 <= {sys.float_info.max!r} for binary64 bounds, "
-            f"got n of {n.bit_length()} bits"
-        )
+        raise _past_binary64(n.bit_length())
     log2n = math.log2(n)
     log3pairs = math.log(math.comb(n, 2)) / math.log(3) if n > 2 else 0.0
     worst = max(log2n, log3pairs)

@@ -29,7 +29,6 @@ from .model import (
     Configuration,
     ENUMERATION_CAP_L,
     InternalContractError,
-    _coin_count,
 )
 from .strategies import Transcript, run_nested, run_proposed
 
@@ -72,8 +71,8 @@ def _size_row(l: int, exact: bool) -> dict:
     The proposed average is a Fraction when ``exact`` and its binary64
     rounding otherwise; the nested average is always a Fraction.
     """
-    n = _coin_count(l)
     # The bounds reject sizes too large for binary64, so they go first.
+    n = analysis._bounds_size(l)
     bounds = analysis.lower_bounds(n)
     worst = analysis.t_max(l)
     return {
@@ -180,7 +179,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if l_max < 2:
         raise CoinWeighError(f"--l-max must be >= 2 for a sweep, got {l_max}")
     # Reject a top size too large for binary64 before any row is built.
-    analysis.lower_bounds(1 << l_max)
+    analysis._bounds_size(l_max)
     # A bad --threads is a usage error even without --simulate.
     if args.threads is not None:
         verify._check_threads(args.threads)

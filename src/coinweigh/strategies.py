@@ -23,6 +23,7 @@ explicit states.  A state holds its regions, as half-open runs
 ``(lo, hi)``, and its procedure: Π0 on weight 2 (one kind per strategy,
 since a 1 / 1 split enters Π1 in the halving scheme and Π0 on weight 1 in
 nested search), Π1, Π2, or Π0 on weight 1 on region a and then on b.
+Every state but a leaf is its kind and one or two regions.
 ``_query(state)`` gives the runs the state weighs, and
 ``_advance(state, reading)`` gives the next state, a leaf that holds the
 support, or None for a reading the state rejects.  A hand-off that needs
@@ -107,10 +108,8 @@ class Transcript:
 #   _PI1                alo, ahi, blo, bhi  a joint round      a x b
 #   _PI2                alo, ahi, blo, bhi  its tie-break; b   a_low x b_high,
 #                                           is no smaller      a_high x b_low
-#   _ONE_A              alo, ahi, blo, bhi  Π0 on weight 1 on  a x b
+#   _ONE                alo, ahi, blo, bhi  Π0 on weight 1 on  a x b
 #                                           a, then on b
-#   _ONE_B              blo, bhi, c         Π0 on weight 1 on  {c} x b
-#                                           b; a's coin is c
 #   _FOUND              p, q                a leaf             {(p, q)}
 # A 1 / 1 split of Π0 on weight 2 enters Π1 for the halving scheme, and Π0
 # on weight 1 on a and b for nested search.  Every state but a leaf asks
@@ -118,7 +117,7 @@ class Transcript:
 # a region's halves are [lo, mid) and [mid, hi) with mid = (lo + hi) // 2.
 _State = tuple[int, ...]
 
-_PROPOSED, _NESTED, _PI1, _PI2, _ONE_A, _ONE_B, _FOUND = range(7)
+_PROPOSED, _NESTED, _PI1, _PI2, _ONE, _FOUND = range(6)
 
 
 def _union(alo: int, ahi: int, blo: int, bhi: int) -> Runs:
@@ -161,46 +160,32 @@ def _shape(state: _State) -> tuple[tuple[int, int, int, int], ...]:
     if kind <= _NESTED:
         _, lo, hi = state
         return ((lo, hi, lo, hi),)
-    if kind == _PI1 or kind == _ONE_A:
-        _, alo, ahi, blo, bhi = state
-        if alo < blo:
-            return ((alo, ahi, blo, bhi),)
-        return ((blo, bhi, alo, ahi),)
+    if kind == _FOUND:
+        _, p, q = state
+        return ((p, p + 1, q, q + 1),)
+    _, alo, ahi, blo, bhi = state
     if kind == _PI2:
         # The Π1 state that entered this one read 1 on the lower halves of
         # the same two regions.
-        _, alo, ahi, blo, bhi = state
         amid = (alo + ahi) // 2
         bmid = (blo + bhi) // 2
-        if alo < blo:
-            return ((alo, amid, bmid, bhi), (amid, ahi, blo, bmid))
-        return ((bmid, bhi, alo, amid), (blo, bmid, amid, ahi))
-    if kind == _ONE_B:
-        _, blo, bhi, c = state
-        if c < blo:
-            return ((c, c + 1, blo, bhi),)
-        return ((blo, bhi, c, c + 1),)
-    _, p, q = state
-    return ((p, p + 1, q, q + 1),)
+        blocks = ((alo, amid, bmid, bhi), (amid, ahi, blo, bmid))
+    else:
+        blocks = ((alo, ahi, blo, bhi),)
+    if alo < blo:
+        return blocks
+    return tuple([(j0, j1, i0, i1) for i0, i1, j0, j1 in blocks])
 
 
-def _found(c: int, d: int) -> _State:
-    return (_FOUND, c, d) if c < d else (_FOUND, d, c)
-
-
-def _one_b(blo: int, bhi: int, c: int) -> _State:
-    # Π0 on weight 1 on b = [blo, bhi), a's coin c known.
-    if bhi - blo > 1:
-        return (_ONE_B, blo, bhi, c)
-    return _found(c, blo)
-
-
-def _one_a(alo: int, ahi: int, blo: int, bhi: int) -> _State:
+def _one(alo: int, ahi: int, blo: int, bhi: int) -> _State:
     # Π0 on weight 1 on a = [alo, ahi), then on b; a single coin costs
-    # no weighing.
+    # no weighing.  Once a is one coin, a and b swap, so b may be a coin
+    # already found.
     if ahi - alo > 1:
-        return (_ONE_A, alo, ahi, blo, bhi)
-    return _one_b(blo, bhi, alo)
+        return (_ONE, alo, ahi, blo, bhi)
+    if bhi - blo > 1:
+        return (_ONE, blo, bhi, alo, ahi)
+    return (_FOUND, alo, blo) if alo < blo else (_FOUND, blo, alo)
 
 
 def _joint(alo: int, ahi: int, blo: int, bhi: int) -> _State:
@@ -208,7 +193,7 @@ def _joint(alo: int, ahi: int, blo: int, bhi: int) -> _State:
     # once either is a single coin, Π0 on weight 1 takes over.
     if ahi - alo > 1 and bhi - blo > 1:
         return (_PI1, alo, ahi, blo, bhi)
-    return _one_a(alo, ahi, blo, bhi)
+    return _one(alo, ahi, blo, bhi)
 
 
 def _advance(state: _State, o: int) -> _State | None:
@@ -258,24 +243,19 @@ def _advance(state: _State, o: int) -> _State | None:
     elif kind == _PROPOSED and o == 1:
         return _joint(lo, mid, mid, hi)
     elif kind == _NESTED and o == 1:
-        return _one_a(lo, mid, mid, hi)
+        return _one(lo, mid, mid, hi)
     else:
         return None
-    if kind == _ONE_A:
-        return _one_a(lo, hi, state[3], state[4])
-    if kind == _ONE_B:
-        return _one_b(lo, hi, state[3])
+    if kind == _ONE:
+        return _one(lo, hi, state[3], state[4])
     return (kind, lo, hi) if hi - lo > 1 else (_FOUND, lo, lo)
 
 
 def _regions(state: _State) -> Runs:
     """The regions of ``state``, which is not a leaf, as runs, in the order
-    of its fields; a's coin c of ``_ONE_B`` is the region [c, c + 1)."""
-    kind = state[0]
-    if kind <= _NESTED:
+    of its fields."""
+    if state[0] <= _NESTED:
         return (state[1:],)
-    if kind == _ONE_B:
-        return (state[1:3], (state[3], state[3] + 1))
     return (state[1:3], state[3:])
 
 
@@ -297,7 +277,7 @@ def _canon(state: _State) -> tuple[_State, _Offsets]:
     if kind <= _NESTED:
         _, lo, hi = state
         return (kind, 1, hi - lo + 1), (1, lo - 1, lo - 1)
-    (alo, ahi), (blo, bhi) = _regions(state)
+    _, alo, ahi, blo, bhi = state
     if alo < blo:
         split = ahi - alo + 2
         a, b = (1, split - 1), (split, split + bhi - blo)
@@ -306,8 +286,7 @@ def _canon(state: _State) -> tuple[_State, _Offsets]:
         split = bhi - blo + 2
         a, b = (split, split + ahi - alo), (1, split - 1)
         offsets = split, blo - 1, alo - split
-    # ``_ONE_B`` keeps only the first coin of its second region, a's coin.
-    return (kind, *a, *b)[: len(state)], offsets
+    return (kind, *a, *b), offsets
 
 
 def _at(coins: tuple[int, ...], offsets: _Offsets) -> tuple[int, ...]:
@@ -322,7 +301,7 @@ def _step(state: _State, o: int) -> tuple[_State | None, _Offsets | None]:
     """The canonical form of ``_advance(state, o)``, for a canonical
     ``state``, and its offsets among the coins of ``state``; or the leaf or
     None that ``_advance`` gives, with None.  Memoised: the trees at
-    n = 4096 have 97 and 89 canonical states that are not leaves, so the
+    n = 4096 have 95 and 89 canonical states that are not leaves, so the
     runs of one size take the same steps again and again; the bound holds
     all of their steps."""
     after = _advance(state, o)

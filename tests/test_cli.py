@@ -192,10 +192,13 @@ class TestAnalyze:
         assert f"prop_avg {float(expected):.6f}" in out.splitlines()
 
     def test_size_past_binary64_usage_error(self, capsys):
-        code, out, err = run(capsys, "analyze", "--l", "1024")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
+        # A huge exponent is rejected before 2**l is built.
+        for l in (1024, 10**18):
+            code, out, err = run(capsys, "analyze", "--l", str(l))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+            assert err.rstrip().endswith(f"got n of {l + 1} bits")
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "analyze", "--l", "2", "--json")
@@ -446,13 +449,16 @@ class TestSweep:
         assert not (tmp_path / "x.csv").exists()
 
     def test_l_max_past_binary64_usage_error(self, capsys, tmp_path):
-        code, out, err = run(
-            capsys, "sweep", "--l-max", "1024", "--out", str(tmp_path / "x.csv")
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert not (tmp_path / "x.csv").exists()
+        # A huge exponent is rejected before 2**l is built.
+        for l_max in (1024, 10**18):
+            code, out, err = run(
+                capsys, "sweep", "--l-max", str(l_max), "--out", str(tmp_path / "x.csv")
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+            assert err.rstrip().endswith(f"got n of {l_max + 1} bits")
+            assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_path_leaves_no_file(self, capsys, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"

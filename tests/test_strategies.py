@@ -489,14 +489,23 @@ class TestShape:
             assert through == {}
 
     def test_blocks_are_ordered(self):
-        # Π2 with a above b, and Π0 on weight 1 on b with a's coin above
+        # Π2 with a above b, and Π0 on weight 1 on a with b's coin above
         # it, give blocks whose first run lies below their second.
         assert strategies._shape((strategies._PI2, 9, 13, 1, 9)) == (
             (5, 9, 9, 11),
             (1, 5, 11, 13),
         )
-        assert strategies._shape((strategies._ONE_B, 1, 5, 7)) == ((1, 5, 7, 8),)
+        assert strategies._shape((strategies._ONE, 1, 5, 7, 8)) == ((1, 5, 7, 8),)
         assert strategies._shape((strategies._FOUND, 3, 3)) == ((3, 4, 3, 4),)
+
+    def test_one_searches_the_region_of_more_coins(self):
+        # Π0 on weight 1 keeps bisecting a region of more than one coin
+        # first, whichever of the two it was given first.
+        assert (
+            strategies._one(7, 8, 1, 5)
+            == strategies._one(1, 5, 7, 8)
+            == (strategies._ONE, 1, 5, 7, 8)
+        )
 
 
 # The recursive cores the loop cores replaced, with their ``_union``, kept as

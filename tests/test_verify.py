@@ -210,7 +210,7 @@ class TestWalk:
             ]
 
     @pytest.mark.parametrize(
-        "strategy, states", [("proposed", 97), ("nested", 89)]
+        "strategy, states", [("proposed", 95), ("nested", 89)]
     )
     def test_each_canonical_state_is_stepped_once(
         self, monkeypatch, strategy, states
