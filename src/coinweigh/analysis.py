@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import InvalidSizeError, _coin_count
+from .model import InvalidSizeError, _check_exponent, _coin_count
 
 __all__ = [
     "TTable",
@@ -279,8 +279,10 @@ def t_ave_proposed(l: int, mode: str = "exact") -> Fraction | float:
 
 
 def t_max(l: int) -> int:
-    """Worst-case weighings at n = 2**l: 2l - 1, for both strategies."""
-    _coin_count(l)
+    """Worst-case weighings at n = 2**l: 2l - 1, for both strategies.
+
+    It needs no n, so l is checked without building 2**l."""
+    _check_exponent(l)
     return 2 * l - 1
 
 

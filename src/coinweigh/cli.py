@@ -134,9 +134,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed_at: int | None = None
     for l in range(1, l_max + 1):
         report = verify.cross_check(l, threads=args.threads)
-        # Each report is rendered once; the text lines print from it.
+        # Each report is rendered once, and the text lines print from it;
+        # they show only the first per-δ cells, so only those are rendered.
+        cells = report.per_delta if args.json else report.per_delta[:_PER_DELTA_SHOWN]
         row = _json_row({key: getattr(report, key) for key in _REPORT_FIELDS})
-        row["per_delta"] = [_json_row(vars(cell)) for cell in report.per_delta]
+        row["per_delta"] = [_json_row(vars(cell)) for cell in cells]
         doc.append(row)
         if not args.json:
             status = "PASS" if report.ok else "FAIL"
@@ -144,7 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"l={l}: {status} avg={row['empirical_avg']} "
                 f"nested={row['nested_empirical']} max={row['max_proposed']}"
             )
-            shown = row["per_delta"][:_PER_DELTA_SHOWN]
+            shown = row["per_delta"]
             rows = "; ".join(
                 f"d={cell['delta']}: {cell['analytic']} vs "
                 f"{cell['empirical']} ({cell['configs']} cfgs)"

@@ -38,21 +38,22 @@ rejected reading.  It takes each step on the state's canonical form,
 ``_canon``: the same kind and region sizes, with the regions placed from
 coin 1 on in their order.  It places the query's runs back among the real
 coins before it weighs them, and composes the offsets of each child with
-its parent's.  So ``_query`` and ``_advance`` never
-see where a region lies; they use only sizes, midpoints and the order of
-two regions.  A tree has few canonical states, so the cores' steps
-(``_step``) are memoised.  A core never sees the hidden support and never
-records a query: ``ask`` logs each (runs, outcome) pair as the scale
-answers it.  The exhaustive verifier follows it another way: it walks the
-decision tree of the same step function on the same canonical states,
-branching on every reading 0, 1 or 2 that a state accepts, and checks each
-edge against ``_shape(state)``, the set of supports whose run passes
-through a state (see ``verify``).  ``run_proposed`` and ``run_nested``
-share one run body, which turns the log and the support into a
-``Transcript`` of ``model.Subset`` queries and a dense estimate, both
-built by ``model``'s memoised writers (see its docstring).  So transcripts
-of different runs may share ``Subset`` objects and estimate tuples, which
-is safe because both are immutable.
+its parent's.  So ``_query`` and ``_advance`` never see where a region
+lies; they use only sizes, midpoints and the order of two regions.  A tree
+has few canonical states, so the cores memoise one node per canonical
+state, ``_node``: its query and its step (``_step``, not memoised itself)
+for each reading, so a weighing costs one lookup.  A core never sees the
+hidden support and never records a query: ``ask`` logs each (runs,
+outcome) pair as the scale answers it.  The exhaustive verifier follows it
+another way: it walks the decision tree of the same step function on the
+same canonical states, branching on every reading 0, 1 or 2 that a state
+accepts, and checks each edge against ``_shape(state)``, the set of
+supports whose run passes through a state (see ``verify``).
+``run_proposed`` and ``run_nested`` share one run body, which turns the log
+and the support into a ``Transcript`` of ``model.Subset`` queries and a
+dense estimate, both built by ``model``'s memoised writers (see its
+docstring).  So transcripts of different runs may share ``Subset`` objects
+and estimate tuples, which is safe because both are immutable.
 
 ``check_nested`` decides whether a finished transcript obeys the nested
 discipline (each query refines a single currently-open region).  The proposed
@@ -296,31 +297,45 @@ def _at(coins: tuple[int, ...], offsets: _Offsets) -> tuple[int, ...]:
     return tuple([x + t0 if x < split else x + t1 for x in coins])
 
 
-@lru_cache(maxsize=1 << 12)
 def _step(state: _State, o: int) -> tuple[_State | None, _Offsets | None]:
     """The canonical form of ``_advance(state, o)``, for a canonical
     ``state``, and its offsets among the coins of ``state``; or the leaf or
-    None that ``_advance`` gives, with None.  Memoised: the trees at
-    n = 4096 have 95 and 89 canonical states that are not leaves, so the
-    runs of one size take the same steps again and again; the bound holds
-    all of their steps."""
+    None that ``_advance`` gives, with None.  Not memoised itself: the
+    cores ask it only through ``_node``."""
     after = _advance(state, o)
     if after is None or after[0] == _FOUND:
         return after, None
     return _canon(after)
 
 
+_Node = tuple[Runs, dict[int, tuple[_State | None, _Offsets | None]]]
+
+
+@lru_cache(maxsize=1 << 10)
+def _node(state: _State) -> _Node:
+    """``_query(state)`` and ``{o: _step(state, o)}`` for o = 0, 1, 2, for a
+    canonical ``state``.  The cores' one memo: the trees at n = 4096 have 95
+    and 89 canonical states that are not leaves, so the runs of one size
+    pass through the same nodes again and again; the bound holds the nodes
+    of both trees at several sizes.  A reading is looked up by equality and
+    hash, as ``_advance`` compares it with ``==``: ``True`` and ``1.0`` read
+    as 1, any other value finds no step.  Every run shares the node's dict,
+    so nothing may write to it."""
+    return _query(state), {o: _step(state, o) for o in (0, 1, 2)}
+
+
 def _follow(state: _State, ask: Scale) -> tuple[int, int]:
     # Weigh each state's query through ``ask`` until a leaf; a rejected
-    # reading raises.  Each step is taken on a canonical state: its runs
-    # are placed among the real coins before they are weighed (``_at``,
-    # written out, as this loop runs once per weighing), and ``_step`` gives
-    # the next one.  Its lower region starts at coin 1 + u0 of this state
-    # and its upper one at coin s + u1, each inside one of this state's
-    # regions; where those coins land gives its offsets.
+    # reading raises.  Each step is taken on a canonical state, with one
+    # lookup of the memoised ``_node`` per weighing: its runs are placed
+    # among the real coins before they are weighed (``_at``, written out,
+    # as this loop runs once per weighing), and the node's step for the
+    # reading gives the next state.  Its lower region starts at coin 1 + u0
+    # of this state and its upper one at coin s + u1, each inside one of
+    # this state's regions; where those coins land gives its offsets.
     state, (split, t0, t1) = _canon(state)
     while True:
-        runs = _query(state)
+        runs, steps = _node(state)
         if len(runs) == 1:
             ((lo, hi),) = runs
             t = t0 if lo < split else t1
@@ -331,7 +346,7 @@ def _follow(state: _State, ask: Scale) -> tuple[int, int]:
             tb = t0 if blo < split else t1
             runs = ((alo + ta, ahi + ta), (blo + tb, bhi + tb))
         o = ask(runs)
-        after, inner = _step(state, o)
+        after, inner = steps.get(o, (None, None))
         if inner is None:
             if after is None:
                 kind = state[0]

@@ -397,7 +397,7 @@ class TestTAveProposed:
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True, False, 2.0, 3.0, None])
     def test_rejects_bad_sizes(self, bad):
-        # The exponent rule of ``model._coin_count``, word for word.
+        # The exponent rule of ``model._check_exponent``, word for word.
         with pytest.raises(InvalidSizeError, match="^exponent must be an integer >= 1"):
             t_ave_proposed(bad)
         with pytest.raises(InvalidSizeError, match="^exponent must be an integer >= 1"):
@@ -421,6 +421,16 @@ class TestTMax:
     @pytest.mark.parametrize("l, expected", [(1, 1), (3, 5), (10, 19)])
     def test_examples(self, l, expected):
         assert t_max(l) == expected
+
+    def test_huge_exponent_needs_no_n(self):
+        # 2l - 1 is answered without building 2**l, which would not fit in
+        # memory at l = 10**18.
+        assert t_max(10**18) == 2 * 10**18 - 1
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 0])
+    def test_rejects_what_is_no_exponent(self, bad):
+        with pytest.raises(InvalidSizeError, match="^exponent must be an integer >= 1"):
+            t_max(bad)
 
 
 class TestAlpha:

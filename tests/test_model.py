@@ -19,6 +19,7 @@ from coinweigh.model import (
     InvalidSubsetError,
     Subset,
     TooLargeError,
+    _check_exponent,
     _coin_count,
     config_count,
     enumerate_configs,
@@ -36,6 +37,10 @@ sizes = st.integers(min_value=1, max_value=6).map(lambda l: 1 << l)
 class TestProblemSize:
     def test_from_exponent(self):
         assert _coin_count(3) == 8
+
+    def test_exponent_checked_without_building_n(self):
+        # 10**18 is a valid exponent; 2**l would not fit in memory.
+        assert _check_exponent(10**18) is None
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True, False, 2.0, None])
     def test_rejects_bad_exponents(self, bad):
@@ -273,6 +278,48 @@ class TestWeigh:
     )
     def test_binary_search_boundaries(self, config, subset, expected):
         assert weigh(config, subset) == expected
+
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            # Contiguous, from coin 5 on: every coin is decided by one index.
+            tuple(range(5, 12)),
+            # Three runs, with gaps 5..6 and 9..11 between them.
+            (2, 3, 4, 7, 8, 12, 13, 14),
+            # One coin.
+            (9,),
+        ],
+        ids=["contiguous-from-5", "three-runs", "one-coin"],
+    )
+    def test_index_window_edges(self, subset):
+        # Every configuration of 16 coins, so a coin lies just before each
+        # subset's first position, on it, on its last, just after it, and
+        # in each run and each gap; as a plain tuple and as a Subset.
+        for config in enumerate_configs(16):
+            expected = sum(config.weights[pos - 1] for pos in subset)
+            assert weigh(config, subset) == expected, config.positions
+            assert weigh(config, Subset(subset)) == expected, config.positions
+
+    def test_contiguous_subset_reads_one_index_per_coin(self):
+        # 2,048 contiguous positions: the subset's ends, its last index
+        # against n, and one index per coin, where a bisection would read
+        # about eleven per coin.
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, k):
+                reads.append(k)
+                return tuple.__getitem__(self, k)
+
+        subset = Counted(range(1025, 3073))
+        for config, expected in [
+            (Configuration.type_two(4096, 1024, 1025), 1),
+            (Configuration.type_two(4096, 2000, 3072), 2),
+            (Configuration.type_one(4096, 3073), 0),
+        ]:
+            reads.clear()
+            assert weigh(config, subset) == expected
+            assert len(reads) <= 5, reads
 
     @given(st.data())
     def test_matches_dense_sum(self, data):

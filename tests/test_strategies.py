@@ -699,6 +699,68 @@ class TestLoopCoresMatchRecursive:
         ) == run_on_oracle(recursive_nested_core, answers, n)
 
 
+class TestNode:
+    @pytest.mark.parametrize("kind", [strategies._PROPOSED, strategies._NESTED])
+    def test_node_is_query_and_steps(self, kind):
+        # Every canonical state on the runs of all supports at n = 64.
+        n = 64
+        canonical = set()
+        for support in iter_supports(n):
+            visited, _ = passed_states(strategies._root(kind, n), support)
+            canonical.update(strategies._canon(state)[0] for state in visited)
+        for state in canonical:
+            query, steps = strategies._node(state)
+            assert query == strategies._query(state)
+            assert steps == {o: strategies._step(state, o) for o in (0, 1, 2)}
+
+    def test_bound_holds_both_trees_at_cap(self):
+        # Every canonical state that is not a leaf, reached through the
+        # steps of each accepted reading: 95 and 89 at n = 4096.
+        n = 1 << 12
+        counts = []
+        for kind in (strategies._PROPOSED, strategies._NESTED):
+            seen = set()
+            todo = [strategies._canon(strategies._root(kind, n))[0]]
+            while todo:
+                state = todo.pop()
+                if state in seen:
+                    continue
+                seen.add(state)
+                for o in (0, 1, 2):
+                    after, inner = strategies._step(state, o)
+                    if inner is not None:
+                        todo.append(after)
+            counts.append(len(seen))
+        assert counts == [95, 89]
+        assert sum(counts) <= strategies._node.cache_info().maxsize
+
+    @pytest.mark.parametrize("one", [True, 1.0])
+    @pytest.mark.parametrize(
+        "core", [strategies._proposed_core, strategies._nested_core]
+    )
+    def test_reading_equal_to_one_follows_step_one(self, core, one):
+        # The first weighing splits 1 / 1; each reading that equals 1 takes
+        # the step of reading 1, and the rest of the run is the same.
+        answers = [1, 0, 2, 1, 0, 1, 0, 2]
+        log, result = run_on_oracle(core, [one] + answers[1:], 16)
+        want_log, want_result = run_on_oracle(core, answers, 16)
+        assert [runs for runs, _ in log] == [runs for runs, _ in want_log]
+        assert result == want_result
+
+    @pytest.mark.parametrize("reading", [3, -1, "1", 0.5])
+    def test_reading_outside_the_steps_is_rejected(self, reading):
+        # At the root of n = 16, Π0 on weight 2 has no step for it.
+        for core in (strategies._proposed_core, strategies._nested_core):
+            _, result = run_on_oracle(core, [reading], 16)
+            assert result == (
+                f"InternalContractError: w(s)=2 but weighed {reading} on a half"
+            )
+
+    def test_unhashable_reading_raises_type_error(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            strategies._proposed_core(16, lambda runs: [1])
+
+
 # sha256 of the concatenated ``trace`` text of every transcript at one size,
 # configurations in canonical order, as produced before the executors worked
 # on runs (lo, hi): the interval cores must reproduce every query verbatim.
