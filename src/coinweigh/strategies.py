@@ -40,15 +40,15 @@ coin 1 on in their order.  It places the query's runs back among the real
 coins before it weighs them, and composes the offsets of each child with
 its parent's.  So ``_query`` and ``_advance`` never see where a region
 lies; they use only sizes, midpoints and the order of two regions.  A tree
-has few canonical states, so the cores memoise one node per canonical
-state, ``_node``: its query and its step (``_step``, not memoised itself)
-for each reading, so a weighing costs one lookup.  A core never sees the
-hidden support and never records a query: ``ask`` logs each (runs,
-outcome) pair as the scale answers it.  The exhaustive verifier follows it
-another way: it walks the decision tree of the same step function on the
-same canonical states, branching on every reading 0, 1 or 2 that a state
-accepts, and checks each edge against ``_shape(state)``, the set of
-supports whose run passes through a state (see ``verify``).
+has few canonical states, so the package memoises one node per canonical
+state, ``_node``: its query and, for each reading, its canonical child and
+that child's offsets, so a weighing costs one lookup.  ``_node`` is the
+only way the package steps a state.  A core never sees the hidden support
+and never records a query: ``ask`` logs each (runs, outcome) pair as the
+scale answers it.  The exhaustive verifier reads the same nodes another
+way: it walks the decision tree they make, branching on every reading 0, 1
+or 2 that a state accepts, and checks each edge against ``_shape``, the
+set of supports whose run passes through a state (see ``verify``).
 ``run_proposed`` and ``run_nested`` share one run body, which turns the log
 and the support into a ``Transcript`` of ``model.Subset`` queries and a
 dense estimate, both built by ``model``'s memoised writers (see its
@@ -297,31 +297,30 @@ def _at(coins: tuple[int, ...], offsets: _Offsets) -> tuple[int, ...]:
     return tuple([x + t0 if x < split else x + t1 for x in coins])
 
 
-def _step(state: _State, o: int) -> tuple[_State | None, _Offsets | None]:
-    """The canonical form of ``_advance(state, o)``, for a canonical
-    ``state``, and its offsets among the coins of ``state``; or the leaf or
-    None that ``_advance`` gives, with None.  Not memoised itself: the
-    cores ask it only through ``_node``."""
-    after = _advance(state, o)
-    if after is None or after[0] == _FOUND:
-        return after, None
-    return _canon(after)
-
-
 _Node = tuple[Runs, dict[int, tuple[_State | None, _Offsets | None]]]
+
+# Every reading a scale can give for a total weight of 2.
+_READINGS = (0, 1, 2)
 
 
 @lru_cache(maxsize=1 << 10)
 def _node(state: _State) -> _Node:
-    """``_query(state)`` and ``{o: _step(state, o)}`` for o = 0, 1, 2, for a
-    canonical ``state``.  The cores' one memo: the trees at n = 4096 have 95
-    and 89 canonical states that are not leaves, so the runs of one size
-    pass through the same nodes again and again; the bound holds the nodes
-    of both trees at several sizes.  A reading is looked up by equality and
-    hash, as ``_advance`` compares it with ``==``: ``True`` and ``1.0`` read
-    as 1, any other value finds no step.  Every run shares the node's dict,
-    so nothing may write to it."""
-    return _query(state), {o: _step(state, o) for o in (0, 1, 2)}
+    """``_query(state)`` and, for each o in ``_READINGS``, the canonical
+    form of ``_advance(state, o)`` and its offsets among the coins of
+    ``state``, or the leaf or None it gives, with None; for a canonical
+    ``state``.  The package's one step table: the cores follow it and the
+    verifier's walk checks it.  The trees at n = 4096 have 95 and 89
+    canonical states that are not leaves; the bound holds both trees at
+    every power of two up to the cap.  A reading is looked up by equality
+    and hash, as ``_advance`` compares it with ``==``: ``True`` and ``1.0``
+    read as 1, any other value finds no step.  Every reader shares the
+    node's dict, so nothing may write to it."""
+    steps = {}
+    for o in _READINGS:
+        after = _advance(state, o)
+        ends = after is None or after[0] == _FOUND
+        steps[o] = (after, None) if ends else _canon(after)
+    return _query(state), steps
 
 
 def _follow(state: _State, ask: Scale) -> tuple[int, int]:

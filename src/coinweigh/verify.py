@@ -8,9 +8,9 @@ and aggregates exact statistics.  ``cross_check`` then compares the two
 routes, demanding exact equality of rationals.
 
 ``exhaustive_stats`` does not run each configuration.  It walks the
-decision tree of the strategy's step function (``strategies._query`` and
-``strategies._advance``, the same step function the cores follow), so each
-weighing is asked once per node, not once per configuration below it.  At
+decision tree of the strategy's step table, ``strategies._node``, the same
+memoised table the cores follow, so each weighing is asked once per node,
+not once per configuration below it.  At
 each state it branches on every reading 0, 1 or 2 that the state accepts;
 a leaf holds a support, and its depth is that configuration's weighing
 count.  Each state stands for a set of supports, ``strategies._shape``:
@@ -43,16 +43,17 @@ does not assume that ``_shape`` is exact, only that the root's set is
 right: a wrong set can make a check fail and the walk raise, but never let
 a wrong tree pass.
 
-The tree is walked as the cores step it, on canonical states
-(``strategies._canon``): a state's regions placed from coin 1 on, in their
-order, one coin apart, with offsets that place them back among the real
-coins.  A core weighs the placed runs of a canonical state's query, and
-the canonical form of its child, placed by the composed offsets, is the
-next state.  So a real node is its canonical state with each region
-translated on its own.  The placement step of the induction: each run of a
-state's query lies inside one of its regions, which the walk checks, and
-each child's region lies inside one of its parent's, since the child's
-blocks cover its regions and lie inside its parent's blocks, which lie
+The tree is walked as the cores step it, on canonical states: a state's
+regions placed from coin 1 on, in their order, one coin apart.  A node
+gives the query and, per reading, the canonical child with the offsets
+that place it among the state's coins; a core composes those offsets
+with its own, so a real node is its canonical state with each region
+translated on its own.  The walk checks each edge on the child's set as
+those same offsets place it, so a wrong offset fails as a wrong step
+does.  The placement step of the induction: each run of a state's query
+lies inside one of its regions, which the walk checks, and each placed
+child's region lies inside one of its parent's, since the child's blocks
+cover its regions and, placed, lie inside its parent's blocks, which lie
 inside the parent's regions.  So translating each region on its own moves
 each run of a query with the coins of the state's set that it holds, and
 keeps every reading: each check holds at a real node exactly when it holds
@@ -66,12 +67,12 @@ real tree meets it.  It keeps, for each canonical state, the partial sums
 of the leaves below it, with each depth counted from the state and each
 δ = q - p read in its coordinates: a leaf below a state of two regions has
 a coin in each, so its δ one state up is its δ plus the gap that the
-child's offsets put between the regions.  The memo lives for one call.
-The root's edges are checked against the root's set.  The walk carries the
-real offsets of its path, so a failed check names the real coins of its
-edge; and since a state met again stands for a subtree that passed, the
-first failure met is the first of the real tree, taken state by state with
-reading 2 first.  ``_run_range``, which runs the cores on a range of
+child's offsets put between the regions.  This memo of sums lives for one
+call.  The root's edges are checked against the root's set.  The walk
+carries the real offsets of its path, so a failed check names the real
+coins of its edge; and since a state met again stands for a subtree that
+passed, the first failure met is the first of the real tree, taken state
+by state with reading 2 first.  ``_run_range``, which runs the cores on a range of
 configurations, is kept as the per-configuration reference.
 
 ``cross_check`` computes its analytic side first and then runs the
@@ -106,12 +107,12 @@ from .strategies import (
     _PROPOSED,
     _Offsets,
     _State,
-    _advance,
     _at,
     _canon,
+    _follow,
     _nested_core,
+    _node,
     _proposed_core,
-    _query,
     _regions,
     _root,
     _shape,
@@ -248,10 +249,6 @@ def _run_range(n: int, strategy: str, lo: int, hi: int) -> _Partial:
     return count, total, worst, per_delta
 
 
-# The readings a walk tries at each state: all that a scale can give for a
-# total weight of 2.
-_READINGS = (0, 1, 2)
-
 _Blocks = tuple[tuple[int, int, int, int], ...]
 
 
@@ -290,14 +287,15 @@ def _fits(blocks: _Blocks, runs: Runs, o: int, shape: _Blocks) -> bool:
     return True
 
 
-def _reach(state: _State | None, p: int, q: int) -> tuple[int, ...] | None:
-    # The support where the run of (p, q) from ``state`` ends, or None if a
-    # state on the way rejects its reading.  It steps real states, not
-    # their canonical forms: the step function does the same on each
-    # translate, and this only names a failure.
-    while state is not None and state[0] != _FOUND:
-        state = _advance(state, weigh_runs(p, q, _query(state)))
-    return None if state is None else state[1:]
+def _reach(state: _State, p: int, q: int) -> tuple[int, ...] | None:
+    # Where ``_follow`` ends the run of (p, q) from ``state``, or None if a
+    # state on the way rejects its reading.  This only names a failure.
+    if state[0] == _FOUND:
+        return state[1:]
+    try:
+        return _follow(state, lambda runs: weigh_runs(p, q, runs))
+    except InternalContractError:
+        return None
 
 
 def _failure(
@@ -322,13 +320,13 @@ def _failure(
 
 def _children(
     n: int, strategy: str, state: _State, offsets: _Offsets, blocks: _Blocks
-) -> list[tuple[_State, _Blocks | None]]:
-    """The children of the canonical ``state``, whose set is ``blocks``,
-    each with its own set (None for a leaf), once each run of its query
-    lies inside one of its regions and each edge has passed its checks;
-    else ``InternalContractError``, naming the real coins that ``offsets``
-    places the state at."""
-    runs = _query(state)
+) -> list[tuple[_State, _Offsets | None]]:
+    """The steps of the canonical ``state``, whose set is ``blocks``, from
+    its ``_node``: each child with its offsets (a leaf with None), once each
+    run of its query lies inside one of its regions and each edge has passed
+    its checks; else ``InternalContractError``, naming the real coins that
+    ``offsets`` places the state at."""
+    runs, steps = _node(state)
     regions = _regions(state)
     for run in runs:
         if not any(rlo <= run[0] and run[1] <= rhi for rlo, rhi in regions):
@@ -341,20 +339,21 @@ def _children(
                 f"{named} of n={n}"
             )
     children = []
-    for o in _READINGS:
-        child = _advance(state, o)
+    for o, (child, inner) in steps.items():
         if child is None:
             continue
-        if child[0] == _FOUND:
+        if inner is None:
             # A leaf's support is ordered, lies in the parent's set and
             # reads ``o``.
             _, p, q = child
             ok = p <= q and _inside(p, q, blocks) and weigh_runs(p, q, runs) == o
-            shape = None
         else:
-            shape = _shape(child)
+            # The child's set, placed among this state's coins.
+            shape = tuple(_at(block, inner) for block in _shape(child))
             ok = _fits(blocks, runs, o, shape)
         if not ok:
+            if inner is not None:
+                child = child[:1] + _at(child[1:], inner)
             raise InternalContractError(_failure(
                 n,
                 strategy,
@@ -363,7 +362,7 @@ def _children(
                 o,
                 child[:1] + _at(child[1:], offsets),
             ))
-        children.append((child, shape))
+        children.append((child, inner))
     return children
 
 
@@ -388,12 +387,12 @@ def _walk(
     total = 0
     worst = 0
     cells: dict[int, list[int]] = {}
-    for child, shape in reversed(_children(n, strategy, state, offsets, blocks)):
-        if shape is None:
+    for child, inner in reversed(_children(n, strategy, state, offsets, blocks)):
+        if inner is None:
             below = 1, 0, 0, {child[2] - child[1]: [0, 1]}
             shift = 0
         else:
-            child, (s, u0, u1) = _canon(child)
+            s, u0, u1 = inner
             # Each of its regions' offsets: where its first coin lands,
             # less where it starts.
             r0, r1 = _at((1 + u0, s + u1), offsets)

@@ -2,7 +2,8 @@
 
 The full sweep over l = 1..10 for both strategies (about half a million
 leaves at l = 10) is computed once per session and shared by every
-acceptance criterion that consumes it.
+acceptance criterion that consumes it.  Each test starts and ends with an
+empty step table.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from coinweigh import verify
+from coinweigh import strategies, verify
 
 pytest_plugins = ("pytester",)
 
@@ -22,6 +23,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 ACCEPTANCE_L_MAX = 10
+
+
+@pytest.fixture(autouse=True)
+def fresh_steps():
+    """Clear ``strategies._node``, the step table of the cores and the walk,
+    before and after each test: a test that plants a fault in a step
+    reaches both through a fresh table, and no planted step outlives it."""
+    strategies._node.cache_clear()
+    yield
+    strategies._node.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -233,8 +233,8 @@ class TestVerify:
 
     def test_wrong_support_is_verification_failure(self, capsys, monkeypatch):
         # The step function ends the path of coin 1 of weight 2 at a wrong
-        # leaf; only the walk uses the planted one.
-        advance = verify._advance
+        # leaf.
+        advance = strategies._advance
 
         def wrong_leaf(state, o):
             after = advance(state, o)
@@ -242,7 +242,7 @@ class TestVerify:
                 return (strategies._FOUND, 1, 2)
             return after
 
-        monkeypatch.setattr(verify, "_advance", wrong_leaf)
+        monkeypatch.setattr(strategies, "_advance", wrong_leaf)
         code, out, err = run(capsys, "verify", "--l-max", "3", "--threads", "1")
         assert code == 1
         assert out == ""
@@ -254,14 +254,14 @@ class TestVerify:
     def test_rejected_reading_is_verification_failure(self, capsys, monkeypatch):
         # The step function rejects the reading 2 of the first weighing, so
         # the walk never reaches coin 1 of weight 2: one leaf short.
-        advance = verify._advance
+        advance = strategies._advance
 
         def rejecting(state, o):
             if state == strategies._root(strategies._PROPOSED, 2) and o == 2:
                 return None
             return advance(state, o)
 
-        monkeypatch.setattr(verify, "_advance", rejecting)
+        monkeypatch.setattr(strategies, "_advance", rejecting)
         code, out, err = run(capsys, "verify", "--l-max", "3", "--threads", "1")
         assert code == 1
         assert out == ""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coinweigh import cli, model, strategies
+from coinweigh import cli, model, strategies, verify
 from coinweigh.model import (
     Configuration,
     InternalContractError,
@@ -711,7 +711,14 @@ class TestNode:
         for state in canonical:
             query, steps = strategies._node(state)
             assert query == strategies._query(state)
-            assert steps == {o: strategies._step(state, o) for o in (0, 1, 2)}
+            want = {}
+            for o in (0, 1, 2):
+                after = strategies._advance(state, o)
+                if after is None or after[0] == strategies._FOUND:
+                    want[o] = after, None
+                else:
+                    want[o] = strategies._canon(after)
+            assert steps == want
 
     def test_bound_holds_both_trees_at_cap(self):
         # Every canonical state that is not a leaf, reached through the
@@ -726,13 +733,19 @@ class TestNode:
                 if state in seen:
                     continue
                 seen.add(state)
-                for o in (0, 1, 2):
-                    after, inner = strategies._step(state, o)
+                for after, inner in strategies._node(state)[1].values():
                     if inner is not None:
                         todo.append(after)
             counts.append(len(seen))
         assert counts == [95, 89]
         assert sum(counts) <= strategies._node.cache_info().maxsize
+        # The walks of both trees at every power of two up to the cap fill
+        # the table without evicting a node: each state is stepped once.
+        strategies._node.cache_clear()
+        for l in range(1, 13):
+            assert verify.cross_check(l).ok
+        info = strategies._node.cache_info()
+        assert info.misses == info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("one", [True, 1.0])
     @pytest.mark.parametrize(

@@ -217,15 +217,16 @@ class TestWalk:
     ):
         # The tree of n = 4096 has 8,390,656 leaves, but up to translating
         # each region on its own only this many states that are not leaves:
-        # the walk asks each of them for its three readings once.
+        # the walk steps each of them through ``_node``, which asks for its
+        # three readings once.
         calls = [0]
-        advance = verify._advance
+        advance = strategies._advance
 
         def counted(state, o):
             calls[0] += 1
             return advance(state, o)
 
-        monkeypatch.setattr(verify, "_advance", counted)
+        monkeypatch.setattr(strategies, "_advance", counted)
         exhaustive_stats(4096, strategy)
         assert calls[0] == 3 * states
 
@@ -251,14 +252,14 @@ class TestWalk:
         # reads 0 on every weighing, as coin n does.  So only the leaf's
         # containment in its parent's set, the root's, tells the planted
         # leaf from the true one.
-        advance = verify._advance
+        advance = strategies._advance
 
         def past_n(state, o):
             if state[0] == strategies._NESTED and state[2] - state[1] == 2 and o == 0:
                 return (strategies._FOUND, state[2], state[2])
             return advance(state, o)
 
-        monkeypatch.setattr(verify, "_advance", past_n)
+        monkeypatch.setattr(strategies, "_advance", past_n)
         with pytest.raises(
             InternalContractError,
             match=r"^nested failed to recover support \(2, 2\) of n=2: got \(3, 3\)$",
@@ -269,15 +270,15 @@ class TestWalk:
         # A step function that ends a reading of 3, which no scale gives, at
         # a leaf: the leaf does not read 3, and no configuration in its
         # parent's set does.
-        advance = verify._advance
+        advance = strategies._advance
 
         def lying(state, o):
             if o == 3:
                 return (strategies._FOUND, 1, 2)
             return advance(state, o)
 
-        monkeypatch.setattr(verify, "_READINGS", (0, 1, 2, 3))
-        monkeypatch.setattr(verify, "_advance", lying)
+        monkeypatch.setattr(strategies, "_READINGS", (0, 1, 2, 3))
+        monkeypatch.setattr(strategies, "_advance", lying)
         with pytest.raises(
             InternalContractError,
             match=r"^proposed reached support \(1, 2\) of n=2 on readings that no "
@@ -286,9 +287,11 @@ class TestWalk:
             exhaustive_stats(2, "proposed", threads=1)
 
 
-# Planted faults: each takes the true ``_advance`` (or ``_query``) and
-# returns one that builds a wrong tree.  ``exhaustive_stats`` must raise on
-# every one.
+# Planted faults: each takes the true ``_advance`` (or ``_query`` or
+# ``_canon``) of ``strategies`` and returns one that builds a wrong tree.
+# Planted there, with the step table cleared, it reaches the cores and the
+# walk alike, through ``_node``.  ``exhaustive_stats`` must raise on every
+# one.
 FOUND = strategies._FOUND
 
 
@@ -383,6 +386,18 @@ def straddling_query(query, n):
     return planted
 
 
+def shifted_pi2(canon, n):
+    # The canonical form of a Π2 state places the coins at and above its
+    # split, its upper region, one coin too high among the real coins.
+    def planted(state):
+        form, (split, t0, t1) = canon(state)
+        if state[0] == strategies._PI2 and split > 2:
+            t1 += 1
+        return form, (split, t0, t1)
+
+    return planted
+
+
 def recover(strategy, n, support, got):
     return f"{strategy} failed to recover support {support} of n={n}: got {got}"
 
@@ -403,6 +418,7 @@ class TestPlantedFaults:
             straddling_query, "_query", 8, "proposed",
             "proposed weighs [2, 4) outside each of the regions [1, 3), [3, 5) of n=8",
         ),
+        (shifted_pi2, "_canon", 64, "proposed", recover("proposed", 64, (1, 4), (1, 6))),
     ]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -412,7 +428,7 @@ class TestPlantedFaults:
         ids=[fault.__name__ for fault, *_ in FAULTS],
     )
     def test_raises(self, monkeypatch, threads, fault, step, n, strategy, line):
-        monkeypatch.setattr(verify, step, fault(getattr(verify, step), n))
+        monkeypatch.setattr(strategies, step, fault(getattr(strategies, step), n))
         with pytest.raises(InternalContractError, match=f"^{re.escape(line)}$"):
             exhaustive_stats(n, strategy, threads=threads)
 
